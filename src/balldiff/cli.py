@@ -280,7 +280,10 @@ def _parse_sweep(raw: dict[str, dict[str, str]], origin: str):
             raise ConfigError(f"{origin}: [sweep] unknown target {dotted!r}")
         if kind not in ("float", "int"):
             raise ConfigError(f"{origin}: [sweep] cannot sweep {kind} key {dotted!r}")
-        values = tuple(float(s) for s in text.split(",") if s.strip())
+        try:
+            values = tuple(float(s) for s in text.split(",") if s.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: [sweep] {dotted}: {exc}") from exc
         if not values:
             raise ConfigError(f"{origin}: [sweep] {dotted} has no values")
         axes.append((dotted, section, key, values))

@@ -150,6 +150,8 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
     pps = val("grid", "points_per_sigma0")
     if dx is not None and pps is not None:
         raise ConfigError(f"{origin}: [grid] give dx or points_per_sigma0, not both")
+    if pps is not None and pps < 8:
+        raise ConfigError(f"{origin}: [grid] points_per_sigma0 must be >= 8, got {pps}")
     if dx is None:
         dx = state.sigma0 / (pps if pps is not None else 16)
     if dx <= 0.0:

@@ -99,6 +99,30 @@ def _snap_indices(snapshot_times, grid: Grid1D, t0: float) -> list[int]:
     return [int(i) for i in idx]
 
 
+def _substep_schedule(
+    t0: float, n_macro: int, grid: Grid1D, sigma0: float, diffusivity: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Passes completed after each macro step, and the ``nu`` of every pass.
+
+    Vectorized over the macro steps, with the float operations of a
+    per-step loop in the same order, so the passes are bit-identical to
+    one computed step by step: the end-time coefficient of each macro step
+    picks its count, then ``nu`` is evaluated at every substep end.
+    """
+    dt = grid.dt
+    dx2 = grid.dx**2
+    m = np.arange(n_macro)  # macro step number minus one
+    nu_end = diffusion_coefficient(t0 + (m + 1) * dt, sigma0, diffusivity) * dt / dx2
+    n_sub = np.maximum(np.ceil(nu_end / STABILITY_TARGET - 1e-12), 1.0).astype(np.int64)
+    sub_dt = dt / n_sub
+    pass_end = np.cumsum(n_sub)
+    step = np.repeat(m, n_sub)  # macro step of each pass
+    k = np.arange(1, step.size + 1) - (pass_end - n_sub)[step]  # 1..n_sub per step
+    sub_ends = (t0 + m * dt)[step] + sub_dt[step] * k
+    nus = diffusion_coefficient(sub_ends, sigma0, diffusivity) * (sub_dt / dx2)[step]
+    return pass_end, nus
+
+
 def _edge_fraction(v: np.ndarray) -> float:
     total = v.sum()
     if total <= 0.0:
@@ -119,11 +143,13 @@ def evolve(
 ) -> tuple[list[Field], StepperReport]:
     """March the density forward, emitting snapshots at the requested times.
 
-    Requested times snap to the nearest completed macro step. Before each
-    macro step the end-time coefficient decides the substep count; within
-    the step the coefficient is re-evaluated at every substep end. The
-    very first step from t=0 is a near no-op since the coefficient
-    vanishes there; that is expected behavior, not a bug.
+    Requested times snap to the nearest completed macro step. The whole
+    substep schedule is built up front: the end-time coefficient of each
+    macro step decides its substep count, and the coefficient is evaluated
+    at every substep end. The kernel then runs once per snapshot segment,
+    over all the passes between two consecutive snapshots. The very first
+    step from t=0 is a near no-op since the coefficient vanishes there;
+    that is expected behavior, not a bug.
 
     Raises :class:`DomainTooSmallError` as soon as a snapshot holds more
     than ``leak_threshold`` of its mass within 3 cells of either edge.
@@ -144,18 +170,17 @@ def evolve(
         wanted[i] = wanted.get(i, 0) + 1
     last = max(indices)
 
-    sigma0 = state.sigma0
-    d = params.diffusivity
-    dx2 = grid.dx**2
+    pass_end, nus = _substep_schedule(t0, last, grid, state.sigma0, params.diffusivity)
     v = np.array(initial.values, dtype=np.float64)
 
     snapshots: list[Field] = []
-    max_nu = 0.0
-    total_substeps = 0
     worst_leak = 0.0
-
-    def emit(step: int) -> None:
-        nonlocal worst_leak
+    done = 0
+    for step, count in wanted.items():  # ascending: _snap_indices rejects unsorted times
+        if step > 0:
+            stop = int(pass_end[step - 1])
+            v = apply_passes(v, nus[done:stop])
+            done = stop
         t = t0 + step * grid.dt
         leak = _edge_fraction(v)
         worst_leak = max(worst_leak, leak)
@@ -163,30 +188,13 @@ def evolve(
             raise DomainTooSmallError(
                 f"boundary holds {leak:.3e} of the mass at t={t}; widen the domain"
             )
-        for _ in range(wanted[step]):
-            snapshots.append(Field(time=t, values=v))
-
-    if 0 in wanted:
-        emit(0)
-
-    for m in range(1, last + 1):
-        t_end = t0 + m * grid.dt
-        nu_end = diffusion_coefficient(t_end, sigma0, d) * grid.dt / dx2
-        n_sub = max(1, math.ceil(nu_end / STABILITY_TARGET - 1e-12))
-        sub_dt = grid.dt / n_sub
-        sub_ends = t0 + (m - 1) * grid.dt + sub_dt * np.arange(1, n_sub + 1)
-        nus = diffusion_coefficient(sub_ends, sigma0, d) * (sub_dt / dx2)
-        v = apply_passes(v, nus)
-        max_nu = max(max_nu, float(nus[-1]))
-        total_substeps += n_sub
-        if m in wanted:
-            emit(m)
+        snapshots.extend(Field(time=t, values=v) for _ in range(count))
 
     mass_final = float(v.sum() * grid.dx)
     report = StepperReport(
         macro_steps=last,
-        total_substeps=total_substeps,
-        max_courant=max_nu,
+        total_substeps=int(pass_end[-1]) if last else 0,
+        max_courant=float(nus[pass_end - 1].max(initial=0.0)),
         mass_drift=abs(mass_final - mass0) / mass0,
         boundary_leak=worst_leak,
     )

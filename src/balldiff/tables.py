@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+#: Rows formatted and written per block: bounds the formatting buffer
+#: without paying a write call per row.
+_BLOCK_ROWS = 512
+
 
 def write_table(path, column_names: list[str], columns: list[np.ndarray]) -> None:
     """Write named columns; all columns must share one length (0 allowed)."""
@@ -22,10 +26,12 @@ def write_table(path, column_names: list[str], columns: list[np.ndarray]) -> Non
     if len(lengths) > 1:
         raise ValidationError(f"columns have differing lengths {sorted(lengths)}")
     n = cols[0].shape[0] if cols else 0
-    lines = ["# " + " ".join(column_names)]
-    for i in range(n):
-        lines.append(" ".join(f"{c[i]:.17g}" for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n")
+    line = " ".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write("# " + " ".join(column_names) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_table(path) -> tuple[list[str], np.ndarray]:

@@ -230,3 +230,22 @@ def test_quiet_suppresses_progress(tmp_path, capsys):
 def test_unknown_subcommand_exits(tmp_path):
     with pytest.raises(SystemExit):
         main(["render", "--config", "x", "--out", "y"])
+
+
+@pytest.mark.parametrize("pps", [0, 3])
+def test_points_per_sigma0_below_minimum_reported(tmp_path, capsys, pps):
+    text = BASE.replace("dx = 0.1", f"points_per_sigma0 = {pps}")
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "points_per_sigma0 must be >= 8" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_non_numeric_value_reported(tmp_path, capsys):
+    text = BASE + SLITS + "\n[sweep]\ncommand = doubleslit\nslits.dvx = 0.5, abc\n"
+    assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "slits.dvx" in err and "abc" in err
+    assert not (tmp_path / "o").exists()

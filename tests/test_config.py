@@ -122,3 +122,15 @@ def test_safety_span_floor(tmp_path):
 def test_missing_file_reported(tmp_path):
     with pytest.raises(ConfigError):
         load_raw(tmp_path / "absent.cfg")
+
+
+@pytest.mark.parametrize("pps", [0, 3, 7, -16])
+def test_points_per_sigma0_below_minimum_rejected(tmp_path, pps):
+    text = MINIMAL + f"points_per_sigma0 = {pps}\n"
+    with pytest.raises(ConfigError, match="points_per_sigma0 must be >= 8"):
+        load_config(_write(tmp_path, text))
+
+
+def test_points_per_sigma0_minimum_accepted(tmp_path):
+    cfg = load_config(_write(tmp_path, MINIMAL + "points_per_sigma0 = 8\n"))
+    assert cfg.dx == 1.0 / 8

@@ -20,6 +20,22 @@ from balldiff import (
     sample_gaussian_field,
     second_moment_sigma,
 )
+from balldiff import stepper
+from balldiff._kernel import select_kernel
+from balldiff.analytic import diffusion_coefficient
+from balldiff.stepper import STABILITY_TARGET, StepperReport, _edge_fraction, _snap_indices
+
+_py_kernel, _ = select_kernel("python")
+try:
+    _c_kernel, _ = select_kernel("compiled")
+except ImportError:
+    _c_kernel = None
+
+_KERNELS = [
+    pytest.param(_py_kernel, id="python"),
+    pytest.param(_c_kernel, id="compiled", marks=pytest.mark.skipif(
+        _c_kernel is None, reason="compiled kernel not built")),
+]
 
 
 def _spread_setup(dx, dt, t_final, params, state):
@@ -195,3 +211,111 @@ def test_error_drops_fourfold_when_dx_halves(params, unit_state):
         errors.append(np.max(np.abs(snaps[-1].values - exact)))
     factor = errors[0] / errors[1]
     assert 3.5 <= factor <= 4.5
+
+
+def _evolve_per_macro_step(initial, grid, state, params, snapshot_times, apply_passes,
+                           leak_threshold=1e-6):
+    """Reference: the substep schedule worked out one macro step at a time."""
+    t0 = initial.time
+    indices = _snap_indices(snapshot_times, grid, t0)
+    wanted = {}
+    for i in indices:
+        wanted[i] = wanted.get(i, 0) + 1
+    sigma0, d, dx2 = state.sigma0, params.diffusivity, grid.dx**2
+    v = np.array(initial.values, dtype=np.float64)
+    mass0 = initial.mass(grid.dx)
+    snapshots, max_nu, total_substeps, worst_leak = [], 0.0, 0, 0.0
+
+    def emit(step):
+        nonlocal worst_leak
+        t = t0 + step * grid.dt
+        leak = _edge_fraction(v)
+        worst_leak = max(worst_leak, leak)
+        if leak > leak_threshold:
+            raise DomainTooSmallError(
+                f"boundary holds {leak:.3e} of the mass at t={t}; widen the domain"
+            )
+        for _ in range(wanted[step]):
+            snapshots.append(Field(time=t, values=v))
+
+    if 0 in wanted:
+        emit(0)
+    for m in range(1, max(indices) + 1):
+        t_end = t0 + m * grid.dt
+        nu_end = diffusion_coefficient(t_end, sigma0, d) * grid.dt / dx2
+        n_sub = max(1, math.ceil(nu_end / STABILITY_TARGET - 1e-12))
+        sub_dt = grid.dt / n_sub
+        sub_ends = t0 + (m - 1) * grid.dt + sub_dt * np.arange(1, n_sub + 1)
+        nus = diffusion_coefficient(sub_ends, sigma0, d) * (sub_dt / dx2)
+        v = apply_passes(v, nus)
+        max_nu = max(max_nu, float(nus[-1]))
+        total_substeps += n_sub
+        if m in wanted:
+            emit(m)
+    mass_final = float(v.sum() * grid.dx)
+    report = StepperReport(
+        macro_steps=max(indices),
+        total_substeps=total_substeps,
+        max_courant=max_nu,
+        mass_drift=abs(mass_final - mass0) / mass0,
+        boundary_leak=worst_leak,
+    )
+    return snapshots, report
+
+
+class _CountingKernel:
+    def __init__(self, impl):
+        self.impl = impl
+        self.calls = 0
+
+    def __call__(self, values, nus):
+        self.calls += 1
+        return self.impl.apply_passes(values, nus)
+
+
+def _assert_same_run(got, want):
+    (snaps, report), (ref_snaps, ref_report) = got, want
+    assert len(snaps) == len(ref_snaps)
+    for a, b in zip(snaps, ref_snaps):
+        assert a.time == b.time
+        assert np.array_equal(a.values, b.values)
+    for name in StepperReport.__dataclass_fields__:
+        assert getattr(report, name) == getattr(ref_report, name), name
+
+
+@pytest.mark.parametrize("kernel", _KERNELS)
+@pytest.mark.parametrize("t0, times", [
+    (0.0, [0.0]),
+    (0.0, [0.0, 0.0]),
+    (0.0, [0.0, 0.4, 0.4, 1.3, 3.0]),
+    (0.0, [3.0]),
+    (0.75, [0.75, 1.0, 1.0, 2.2, 3.0]),
+    (0.75, [3.0, 3.0]),
+])
+def test_evolve_schedule_matches_per_macro_step_loop(monkeypatch, params, unit_state,
+                                                     kernel, t0, times):
+    grid = grid_spanning(0.0, 40.0, 0.05, dt=0.01, t_final=3.0)
+    f0 = Field(time=t0, values=sample_gaussian_field(unit_state, grid).values)
+    counting = _CountingKernel(kernel)
+    monkeypatch.setattr(stepper, "apply_passes", counting)
+    got = evolve(f0, grid, unit_state, params, times)
+    want = _evolve_per_macro_step(f0, grid, unit_state, params, times, kernel.apply_passes)
+    _assert_same_run(got, want)
+    # one kernel call per distinct snapshot time after the start
+    assert counting.calls == len({t for t in times if t > t0})
+
+
+@pytest.mark.parametrize("kernel", _KERNELS)
+def test_evolve_schedule_raises_leak_at_same_snapshot(monkeypatch, params, unit_state,
+                                                      kernel):
+    # 6 sigma0 each side: clean at t = 1, past the leak threshold by t = 2
+    grid = grid_spanning(0.0, 6.0, 0.05, dt=0.01, t_final=4.0)
+    f0 = sample_gaussian_field(unit_state, grid)
+    times = [0.0, 0.5, 1.0, 2.0, 3.0, 4.0]
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    with pytest.raises(DomainTooSmallError) as got:
+        evolve(f0, grid, unit_state, params, times)
+    with pytest.raises(DomainTooSmallError) as want:
+        _evolve_per_macro_step(f0, grid, unit_state, params, times, kernel.apply_passes)
+    assert str(got.value) == str(want.value)
+    assert "t=2.0;" in str(got.value)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balldiff import ValidationError
-from balldiff.tables import read_table, write_table
+from balldiff.tables import _BLOCK_ROWS, read_table, write_table
 
 
 def test_round_trip_is_bitwise_exact(tmp_path):
@@ -95,3 +95,39 @@ def test_no_timestamps_in_output(tmp_path):
     write_table(p1, ["v"], [col])
     write_table(p2, ["v"], [col])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _per_cell_reference(column_names, columns):
+    """The table bytes written one f-string per cell."""
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    n = cols[0].shape[0] if cols else 0
+    lines = ["# " + " ".join(column_names)]
+    for i in range(n):
+        lines.append(" ".join(f"{c[i]:.17g}" for c in cols))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("names, columns", [
+    (["v"], [[math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+              1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0, 1e22, 1e16]]),
+    (["a", "b"], [np.empty(0), np.empty(0)]),
+    ([], []),
+    (["i", "x", "y"], [np.arange(_BLOCK_ROWS + 1.0),
+                       np.linspace(-1.0, 1.0, _BLOCK_ROWS + 1),
+                       np.geomspace(1e-300, 1e300, _BLOCK_ROWS + 1)]),
+    (["i"], [np.arange(2.0 * _BLOCK_ROWS)]),
+], ids=["special", "zero_rows", "zero_columns", "block_plus_one", "two_blocks"])
+def test_write_matches_per_cell_formatting(tmp_path, names, columns):
+    path = tmp_path / "t.txt"
+    write_table(path, names, columns)
+    assert path.read_bytes() == _per_cell_reference(names, columns)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(), min_size=0, max_size=40), st.integers(1, 4))
+def test_write_matches_per_cell_formatting_property(tmp_path_factory, values, ncols):
+    path = tmp_path_factory.mktemp("pc") / "v.txt"
+    columns = [np.roll(np.array(values, dtype=np.float64), j) for j in range(ncols)]
+    names = [f"c{j}" for j in range(ncols)]
+    write_table(path, names, columns)
+    assert path.read_bytes() == _per_cell_reference(names, columns)
