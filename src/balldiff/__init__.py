@@ -13,23 +13,19 @@ fallback that produce bit-identical results; see `kernel_backend()`.
 """
 from ._kernel import KERNEL_BACKEND
 from .analytic import (
-    ExponentFit,
     analytic_flux_line,
     analytic_sigma,
     diffusion_coefficient,
     gaussian_pdf,
     normal_quantile,
-    verify_ballistic_exponent,
 )
 from .core import (
     Field,
     GaussianState,
-    GeneralDiffusionLaw,
     Grid1D,
     PhysicalParams,
     SlitConfig,
     TrajectorySet,
-    auto_grid,
     grid_spanning,
     make_physical_params,
 )
@@ -38,23 +34,20 @@ from .errors import (
     ConfigError,
     DomainTooSmallError,
     ResourceLimitError,
-    StabilityError,
     ValidationError,
 )
 from .interference import (
     IntensityMap,
-    auto_grid_double_slit,
     compose_intensity,
     detect_fringe_maxima,
     fringe_spacing,
     phase,
+    required_half_width,
     simulate_double_slit,
 )
 from .stepper import (
     StepperReport,
-    courant_number,
     evolve,
-    fd_step,
     sample_gaussian_field,
     second_moment_sigma,
 )
@@ -72,30 +65,23 @@ __all__ = [
     "BalldiffError",
     "ConfigError",
     "DomainTooSmallError",
-    "ExponentFit",
     "Field",
     "GaussianState",
-    "GeneralDiffusionLaw",
     "Grid1D",
     "IntensityMap",
     "PhysicalParams",
     "ResourceLimitError",
     "SlitConfig",
-    "StabilityError",
     "StepperReport",
     "TrajectorySet",
     "ValidationError",
     "analytic_flux_line",
     "analytic_sigma",
-    "auto_grid",
-    "auto_grid_double_slit",
     "compose_intensity",
-    "courant_number",
     "cumulative",
     "detect_fringe_maxima",
     "diffusion_coefficient",
     "evolve",
-    "fd_step",
     "fringe_spacing",
     "gaussian_pdf",
     "grid_spanning",
@@ -104,10 +90,10 @@ __all__ = [
     "make_physical_params",
     "normal_quantile",
     "phase",
+    "required_half_width",
     "sample_gaussian_field",
     "second_moment_sigma",
     "simulate_double_slit",
     "trace_flux_lines",
     "velocity_field",
-    "verify_ballistic_exponent",
 ]

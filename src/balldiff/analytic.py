@@ -7,7 +7,6 @@ the analytic flux lines of a spreading packet.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,45 +59,14 @@ def diffusion_coefficient(t, sigma0: float, diffusivity: float):
     return float(out) if np.isscalar(t) else out
 
 
-class ExponentFit(NamedTuple):
-    alpha: float
-    k: float
-
-
-def verify_ballistic_exponent(sigma0: float, diffusivity: float, t_samples) -> ExponentFit:
-    """Fit log(coefficient) vs log(t) and return (exponent, prefactor).
-
-    For the coefficient above the data are exactly log-linear, so the fit
-    recovers alpha = 1 and k = D**2 / sigma0**2 to rounding error.
-    """
-    t = np.asarray(t_samples, dtype=np.float64)
-    if t.ndim != 1 or t.size < 3:
-        raise ValidationError("need at least 3 sample times")
-    if np.any(t <= 0.0):
-        raise ValidationError("sample times must be positive")
-    if np.unique(t).size < 3:
-        raise ValidationError("need at least 3 distinct sample times")
-    d_t = diffusion_coefficient(t, sigma0, diffusivity)
-    slope, intercept = np.polyfit(np.log(t), np.log(d_t), 1)
-    return ExponentFit(alpha=float(slope), k=float(math.exp(intercept)))
-
-
-def normal_quantile(q: float, tol: float = 1e-12) -> float:
-    """Standard-normal quantile by bisection on the erf-based CDF.
-
-    Bisection over [-40, 40] to ``tol`` absolute; slow but trivially
-    correct, and only ever called once per requested quantile.
-    """
+def normal_quantile(q: float) -> float:
+    """Standard-normal quantile, Wichura's AS241 via ``statistics.NormalDist``."""
     if not (0.0 < q < 1.0):
         raise ValidationError(f"quantile must be in (0, 1), got {q!r}")
-    lo, hi = -40.0, 40.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # imported here: statistics pulls in decimal and fractions, which no run needs
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(q)
 
 
 def analytic_flux_line(q: float, t: float, state: GaussianState, diffusivity: float) -> float:

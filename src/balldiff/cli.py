@@ -300,17 +300,17 @@ def _format_override(kind: str, dotted: str, value: float, origin: str) -> str:
     return repr(float(value))
 
 
-def _run_sweep_point(args) -> tuple[int, int, float]:
-    """One sweep point in a worker process; never raises."""
+def _run_sweep_point(args) -> tuple[int, int, float, str | None]:
+    """One sweep point in a worker process; a BalldiffError becomes its message."""
     index, raw_point, origin, command, point_dir = args
     runner, _ = _SWEEP_COMMANDS[command]
     try:
         cfg = build_config(raw_point, f"{origin} (point {index})")
         status = runner(cfg, Path(point_dir), quiet=True)
         metric = _point_metric(command, cfg, Path(point_dir))
-    except BalldiffError:
-        return index, 1, float("nan")
-    return index, status, metric
+    except BalldiffError as exc:
+        return index, 1, float("nan"), str(exc)
+    return index, status, metric, None
 
 
 def _point_metric(command: str, cfg: RunConfig, point_dir: Path) -> float:
@@ -368,14 +368,16 @@ def run_sweep(
         results = [_run_sweep_point(job) for job in jobs]
     results.sort(key=lambda r: r[0])
 
-    statuses = [status for _, status, _ in results]
-    metrics = [metric for _, _, metric in results]
-    for (index, status, metric), combo in zip(results, combos):
+    statuses = [status for _, status, _, _ in results]
+    metrics = [metric for _, _, metric, _ in results]
+    for (index, status, metric, error), combo in zip(results, combos):
         settings = " ".join(
             f"{dotted}={value:g}" for (dotted, _, _, _), value in zip(axes, combo)
         )
         _say(quiet, f"sweep: point {index:03d} {settings} status={status} "
                     f"{metric_name}={metric:g}")
+        if error is not None:
+            _complain(f"point {index:03d}: {error}")
 
     columns: list[np.ndarray] = [np.arange(len(combos), dtype=np.float64)]
     names = ["point"]

@@ -22,6 +22,7 @@ from .core import (
 )
 from .errors import ConfigError
 from .analytic import analytic_sigma
+from .interference import required_half_width
 
 # section -> key -> type tag ("float", "int", "bool", "floats", "str")
 SCHEMA: dict[str, dict[str, str]] = {
@@ -231,7 +232,5 @@ def double_slit_grid(cfg: RunConfig) -> Grid1D:
     """Grid for a two-slit run, covering both drifted beams."""
     if cfg.slits is None:
         raise ConfigError(f"{cfg.origin}: [slits] section is required for this run")
-    from .interference import required_half_width
-
     need = required_half_width(cfg.slits, cfg.params, cfg.t_final, cfg.safety_span)
     return grid_spanning(0.0, need, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap)

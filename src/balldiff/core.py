@@ -26,13 +26,6 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
-def _require_non_negative(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValidationError(f"{name} must be >= 0 and finite, got {value!r}")
-    return value
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -60,28 +53,6 @@ class PhysicalParams:
 def make_physical_params(hbar: float, mass: float) -> PhysicalParams:
     """Validate (hbar, mass) and derive the diffusivity hbar/(2*mass)."""
     return PhysicalParams(hbar=hbar, mass=mass)
-
-
-@dataclass(frozen=True)
-class GeneralDiffusionLaw:
-    """Power-law diffusion coefficient k * t**alpha."""
-
-    k: float
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", _require_non_negative("k", self.k))
-        object.__setattr__(self, "alpha", _require_non_negative("alpha", self.alpha))
-
-    @classmethod
-    def ballistic(cls, sigma0: float, diffusivity: float) -> "GeneralDiffusionLaw":
-        """The alpha=1 specialization with k = diffusivity**2 / sigma0**2."""
-        sigma0 = _require_positive("sigma0", sigma0)
-        diffusivity = _require_positive("diffusivity", diffusivity)
-        return cls(k=diffusivity**2 / sigma0**2, alpha=1.0)
-
-    def coefficient(self, t: float) -> float:
-        return self.k * float(t) ** self.alpha
 
 
 @dataclass(frozen=True)
@@ -207,35 +178,6 @@ class TrajectorySet:
         object.__setattr__(self, "quantiles", _readonly(q))
         object.__setattr__(self, "times", _readonly(t))
         object.__setattr__(self, "paths", _readonly(p))
-
-
-def auto_grid(
-    state: GaussianState,
-    params: PhysicalParams,
-    t_final: float,
-    points_per_sigma0: int = 16,
-    safety_span: float = 10.0,
-    *,
-    dt: float,
-    nx_cap: int = DEFAULT_NX_CAP,
-) -> Grid1D:
-    """Size a grid around the packet for a run of length ``t_final``.
-
-    The spacing is ``sigma0 / points_per_sigma0`` and the half-width covers
-    ``safety_span`` final standard deviations on each side of the center.
-    The node count is forced odd so the center falls exactly on a node.
-    """
-    t_final = _require_non_negative("t_final", t_final)
-    points_per_sigma0 = int(points_per_sigma0)
-    if points_per_sigma0 < 8:
-        raise ValidationError(f"points_per_sigma0 must be >= 8, got {points_per_sigma0}")
-    if safety_span < 5.0:
-        raise ValidationError(f"safety_span must be >= 5, got {safety_span}")
-    dx = state.sigma0 / points_per_sigma0
-    # late-time spread: sigma(t) = sigma0 * sqrt(1 + (D t / sigma0^2)^2)
-    u = params.diffusivity * t_final / state.sigma0**2
-    half_min = safety_span * state.sigma0 * math.sqrt(1.0 + u * u)
-    return grid_spanning(state.center, half_min, dx, dt=dt, t_final=t_final, nx_cap=nx_cap)
 
 
 def grid_spanning(

@@ -13,13 +13,6 @@ class ConfigError(ValidationError):
     """A run configuration file is malformed or inconsistent."""
 
 
-class StabilityError(ValidationError):
-    """A stencil coefficient exceeds the explicit-scheme stability bound.
-
-    Signals that the caller must subdivide the time step.
-    """
-
-
 class ResourceLimitError(BalldiffError):
     """A requested grid would exceed the configured node cap."""
 

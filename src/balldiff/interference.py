@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import analytic_sigma
-from .core import Field, GaussianState, Grid1D, PhysicalParams, SlitConfig, grid_spanning
+from .core import Field, GaussianState, Grid1D, PhysicalParams, SlitConfig
 from .errors import DomainTooSmallError, ValidationError
 from .stepper import evolve, sample_gaussian_field
 
@@ -81,17 +81,15 @@ def _beam_states(slits: SlitConfig) -> tuple[GaussianState, GaussianState]:
     )
 
 
-def _check_domain(grid: Grid1D, state: GaussianState, v: float, t_last: float,
-                  diffusivity: float, safety_span: float) -> None:
-    for t in (0.0, t_last):
-        c = state.center + v * t
-        reach = safety_span * analytic_sigma(t, state.sigma0, diffusivity)
-        if c - reach < grid.x_min or c + reach > grid.x_max:
-            raise DomainTooSmallError(
-                f"beam from x0={state.center} drifting at {v} needs "
-                f"[{c - reach:.4g}, {c + reach:.4g}] at t={t}, grid covers "
-                f"[{grid.x_min:.4g}, {grid.x_max:.4g}]"
-            )
+def _beam_extents(slits: SlitConfig, params: PhysicalParams, t_final: float,
+                  safety_span: float):
+    """(x0, v, t, c, reach) per beam at t = 0 and t_final: the beam that starts
+    at x0 and drifts at v is centered at c and needs [c - reach, c + reach]."""
+    half = 0.5 * slits.separation
+    for c0, v in ((-half, slits.v1), (half, slits.v2)):
+        for t in (0.0, t_final):
+            reach = safety_span * analytic_sigma(t, slits.sigma0, params.diffusivity)
+            yield c0, v, t, c0 + v * t, reach
 
 
 def _shift(values: np.ndarray, x: np.ndarray, offset: float) -> np.ndarray:
@@ -116,11 +114,17 @@ def simulate_double_slit(
     Both per-beam densities are kept in the output for diagnostics; each
     is normalized to unit mass, so the composed total is not.
     """
+    t_last = float(np.max(np.asarray(snapshot_times, dtype=np.float64)))
+    for x0, v, t, c, reach in _beam_extents(slits, params, t_last, safety_span):
+        if c - reach < grid.x_min or c + reach > grid.x_max:
+            raise DomainTooSmallError(
+                f"beam from x0={x0} drifting at {v} needs "
+                f"[{c - reach:.4g}, {c + reach:.4g}] at t={t}, grid covers "
+                f"[{grid.x_min:.4g}, {grid.x_max:.4g}]"
+            )
+
     states = _beam_states(slits)
     drifts = (slits.v1, slits.v2)
-    t_last = float(np.max(np.asarray(snapshot_times, dtype=np.float64)))
-    for state, v in zip(states, drifts):
-        _check_domain(grid, state, v, t_last, params.diffusivity, safety_span)
 
     beams: list[np.ndarray] = []
     times: np.ndarray | None = None
@@ -147,30 +151,10 @@ def required_half_width(
     """Half-width around x = 0 holding both drifted, spread beams."""
     if t_final < 0.0:
         raise ValidationError(f"t_final must be >= 0, got {t_final!r}")
-    half = 0.5 * slits.separation
     need = 0.0
-    for c0, v in ((-half, slits.v1), (half, slits.v2)):
-        for t in (0.0, t_final):
-            reach = safety_span * analytic_sigma(t, slits.sigma0, params.diffusivity)
-            need = max(need, abs(c0 + v * t) + reach)
+    for _, _, _, c, reach in _beam_extents(slits, params, t_final, safety_span):
+        need = max(need, abs(c) + reach)
     return need
-
-
-def auto_grid_double_slit(
-    slits: SlitConfig,
-    params: PhysicalParams,
-    t_final: float,
-    points_per_sigma0: int = 16,
-    safety_span: float = 10.0,
-    *,
-    dt: float,
-    nx_cap: int | None = None,
-) -> Grid1D:
-    """Grid centered between the slits, wide enough for both drifted beams."""
-    dx = slits.sigma0 / int(points_per_sigma0)
-    need = required_half_width(slits, params, t_final, safety_span)
-    kwargs = {} if nx_cap is None else {"nx_cap": nx_cap}
-    return grid_spanning(0.0, need, dx, dt=dt, t_final=t_final, **kwargs)
 
 
 def detect_fringe_maxima(

@@ -18,13 +18,10 @@ import numpy as np
 from ._kernel import apply_passes
 from .analytic import diffusion_coefficient, gaussian_pdf
 from .core import Field, GaussianState, Grid1D, PhysicalParams
-from .errors import DomainTooSmallError, StabilityError, ValidationError
+from .errors import DomainTooSmallError, ValidationError
 
-#: Hard explicit-scheme bound: a single step with nu above this is unstable.
-VON_NEUMANN_LIMIT = 0.5
-
-#: Substepping target, strictly below the bound because the coefficient
-#: keeps growing within a macro step.
+#: Substepping target, strictly below the von Neumann bound of 1/2 because
+#: the coefficient keeps growing within a macro step.
 STABILITY_TARGET = 0.4
 
 #: Mass within this many cells of either edge counts as boundary leak.
@@ -53,34 +50,6 @@ def sample_gaussian_field(state: GaussianState, grid: Grid1D) -> Field:
     if total <= 0.0:
         raise ValidationError("grid does not resolve the packet: sampled mass is zero")
     return Field(time=0.0, values=v / total)
-
-
-def fd_step(field: Field, nu: float) -> Field:
-    """One explicit stencil pass with coefficient ``nu``.
-
-    Edge nodes keep their values (the held-edge variant of a Dirichlet
-    boundary). Rejects ``nu`` outside [0, 0.5]: the caller must substep.
-    The field's time tag is unchanged; time bookkeeping lives with the
-    caller because ``nu`` already folds in the step length.
-    """
-    nu = float(nu)
-    if not (0.0 <= nu <= VON_NEUMANN_LIMIT):
-        raise StabilityError(
-            f"nu={nu!r} outside [0, {VON_NEUMANN_LIMIT}]; split the step"
-        )
-    out = apply_passes(field.values, np.array([nu], dtype=np.float64))
-    # at nu = 1/2 exact cancellation can round to -eps; clamp the roundoff
-    np.maximum(out, 0.0, out=out)
-    return Field(time=field.time, values=out)
-
-
-def courant_number(t_next: float, grid: Grid1D, sigma0: float, diffusivity: float) -> float:
-    """Stencil coefficient D_t(t_next) * dt / dx**2 at the step end time.
-
-    Evaluating at the end time is the conservative choice: the
-    coefficient is increasing, so this is its largest value in the step.
-    """
-    return diffusion_coefficient(t_next, sigma0, diffusivity) * grid.dt / grid.dx**2
 
 
 def _snap_indices(snapshot_times, grid: Grid1D, t0: float) -> list[int]:

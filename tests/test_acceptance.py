@@ -16,19 +16,19 @@ from balldiff import (
     GaussianState,
     SlitConfig,
     analytic_sigma,
-    auto_grid_double_slit,
     detect_fringe_maxima,
+    diffusion_coefficient,
     evolve,
     fringe_spacing,
     grid_spanning,
     make_physical_params,
     normal_quantile,
+    required_half_width,
     sample_gaussian_field,
     second_moment_sigma,
     simulate_double_slit,
     trace_flux_lines,
     velocity_field,
-    verify_ballistic_exponent,
 )
 from balldiff.cli import run_convergence, run_doubleslit, run_spread, run_sweep
 from balldiff.config import load_config, load_raw, single_beam_grid
@@ -106,9 +106,9 @@ def test_2_ballistic_exponent():
     elapsed = time.perf_counter() - start
 
     _check(failures, abs(slope - 2.0) <= 0.02, f"slope {slope:.4f} not 2.00 +/- 0.02")
-    fit = verify_ballistic_exponent(1.0, 0.5, sample_times)
-    _check(failures, abs(fit.alpha - 1.0) <= 1e-10, f"alpha {fit.alpha!r} != 1")
-    _check(failures, abs(fit.k - 0.25) <= 1e-10 * 0.25, f"k {fit.k!r} != D^2/sigma0^2")
+    k = diffusion_coefficient(sample_times, 1.0, 0.5) / sample_times
+    worst_k = float(np.max(np.abs(k - 0.25)))
+    _check(failures, worst_k <= 1e-10 * 0.25, f"D_t / t off D^2/sigma0^2 by {worst_k:.3e}")
     _check(failures, elapsed < 30.0, f"took {elapsed:.1f} s, budget 30 s")
     _report(2, "ballistic-exponent", failures)
 
@@ -163,7 +163,8 @@ def test_5_interference_rule(tmp_path):
 
     # equal-velocity beams: total collapses to (sqrt p1 + sqrt p2)^2
     slits0 = SlitConfig(separation=4.0, sigma0=1.0, v1=0.0, v2=0.0)
-    grid0 = auto_grid_double_slit(slits0, params, 1.0, 20, dt=0.01)
+    grid0 = grid_spanning(0.0, required_half_width(slits0, params, 1.0, 10.0), 1.0 / 20,
+                          dt=0.01, t_final=1.0)
     imap0 = simulate_double_slit(slits0, grid0, params, [0.0, 1.0])
     coherent = (np.sqrt(imap0.p1) + np.sqrt(imap0.p2)) ** 2
     gap = float(np.max(np.abs(imap0.p_total - coherent)))
@@ -185,7 +186,8 @@ def test_5_interference_rule(tmp_path):
     measured = []
     for dvx in (0.5, 1.0, 2.0):
         slits = SlitConfig(separation=6.0, sigma0=1.0, v1=0.5 * dvx, v2=-0.5 * dvx)
-        grid = auto_grid_double_slit(slits, params, 24.0, 8, dt=0.01)
+        grid = grid_spanning(0.0, required_half_width(slits, params, 24.0, 10.0), 1.0 / 8,
+                             dt=0.01, t_final=24.0)
         imap = simulate_double_slit(slits, grid, params, [24.0])
         hits = detect_fringe_maxima(grid.x, imap.p1[-1], imap.p2[-1], imap.p_total[-1])
         _check(failures, hits.size >= 3, f"dvx={dvx}: only {hits.size} maxima")

@@ -208,6 +208,19 @@ def test_sweep_failing_point_recorded(tmp_path):
     assert list(rows[:, 2]) == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_failed_point_reports_its_reason(tmp_path, capsys, workers):
+    text = BASE.replace("dx = 0.1\n", "") + (
+        "\n[sweep]\ncommand = spread\ngrid.points_per_sigma0 = 3, 16\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet",
+                 "--workers", workers]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: point 000: ")
+    assert err[0].endswith("points_per_sigma0 must be >= 8, got 3")
+    assert err[1:] == ["error: 1 of 2 sweep points failed"]
+
+
 def test_out_falls_back_to_configured_directory(tmp_path):
     target = tmp_path / "from_config"
     text = BASE + f"\n[output]\ndirectory = {target}\n"

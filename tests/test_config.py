@@ -1,8 +1,12 @@
-"""Config parsing: defaults, strict key checking, derived settings."""
-import pytest
+"""Config parsing: defaults, strict key checking, derived settings, grid sizing."""
+import math
 
-from balldiff import ConfigError
-from balldiff.config import load_config, load_raw
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from balldiff import ConfigError, ResourceLimitError, analytic_sigma
+from balldiff.config import build_config, double_slit_grid, load_config, load_raw, single_beam_grid
 
 MINIMAL = """\
 [grid]
@@ -134,3 +138,76 @@ def test_points_per_sigma0_below_minimum_rejected(tmp_path, pps):
 def test_points_per_sigma0_minimum_accepted(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL + "points_per_sigma0 = 8\n"))
     assert cfg.dx == 1.0 / 8
+
+
+def _built(**sections):
+    """build_config over {section: {key: value}}, values written as config text."""
+    raw = {name: {k: str(v) for k, v in kv.items()} for name, kv in sections.items()}
+    return build_config(raw, "test")
+
+
+def _half_width(grid):
+    return (grid.nx - 1) // 2 * grid.dx
+
+
+def test_single_beam_grid_spacing_and_width():
+    g = single_beam_grid(_built(grid={"points_per_sigma0": 10, "dt": 0.1, "t_final": 0.0}))
+    assert g.dx == 0.1
+    assert g.nx % 2 == 1
+    assert _half_width(g) >= 10.0 - 1e-12
+
+
+def test_single_beam_grid_covers_final_spread():
+    # D = 1 here, so sigma(1) = sqrt(2)
+    cfg = _built(physical={"hbar": 2.0},
+                 grid={"points_per_sigma0": 10, "dt": 0.1, "t_final": 1.0})
+    assert _half_width(single_beam_grid(cfg)) >= 10.0 * math.sqrt(2.0) - 1e-12
+
+
+def test_single_beam_grid_center_is_a_node():
+    cfg = _built(packet={"sigma0": 0.7, "center": 3.2},
+                 grid={"points_per_sigma0": 16, "dt": 0.1, "t_final": 2.0})
+    g = single_beam_grid(cfg)
+    assert g.x[(g.nx - 1) // 2] == pytest.approx(3.2, abs=1e-12)
+
+
+def test_single_beam_grid_resource_cap():
+    long_run = _built(physical={"hbar": 2.0},
+                      grid={"points_per_sigma0": 10, "dt": 0.1, "t_final": 1e6})
+    with pytest.raises(ResourceLimitError):
+        single_beam_grid(long_run)
+    # 10 sigma0 each side at 10 points per sigma0 needs 201 nodes
+    capped = {"points_per_sigma0": 10, "dt": 0.1, "t_final": 0.0}
+    assert single_beam_grid(_built(grid={**capped, "nx_cap": 201})).nx == 201
+    with pytest.raises(ResourceLimitError, match="cap 200"):
+        single_beam_grid(_built(grid={**capped, "nx_cap": 200}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma0=st.floats(0.1, 10.0), t_final=st.floats(0.0, 100.0))
+def test_single_beam_grid_postconditions_hold(sigma0, t_final):
+    cfg = _built(packet={"sigma0": sigma0},
+                 grid={"points_per_sigma0": 10, "safety_span": 10.0, "dt": 0.1,
+                       "t_final": t_final, "nx_cap": 2**24})
+    g = single_beam_grid(cfg)
+    assert g.dx == sigma0 / 10
+    assert g.nx % 2 == 1
+    need = 10.0 * analytic_sigma(t_final, sigma0, cfg.params.diffusivity)
+    assert _half_width(g) >= need - 1e-9 * need
+
+
+@pytest.mark.parametrize("velocities", [{"dvx": 2.0}, {"v1": 1.5, "v2": 0.5}],
+                         ids=["symmetric", "asymmetric"])
+def test_double_slit_grid_covers_drifted_beams(velocities):
+    cfg = _built(grid={"points_per_sigma0": 16, "safety_span": 10.0, "dt": 0.01,
+                       "t_final": 2.0},
+                 slits={"separation": 6.0, **velocities})
+    grid = double_slit_grid(cfg)
+    assert grid.nx % 2 == 1
+    assert grid.x[(grid.nx - 1) // 2] == 0.0
+    # each beam starts at -/+3, drifts at its velocity, and spreads to 10 sigma(t)
+    for x0, v in ((-3.0, cfg.slits.v1), (3.0, cfg.slits.v2)):
+        for t in (0.0, 2.0):
+            reach = 10.0 * analytic_sigma(t, 1.0, 0.5)
+            assert grid.x_min <= x0 + v * t - reach + 1e-9
+            assert grid.x_max >= x0 + v * t + reach - 1e-9

@@ -1,23 +1,17 @@
-"""Domain types: invariants, derived fields, and grid auto-sizing."""
+"""Domain types: invariants, derived fields, and grid_spanning."""
 import dataclasses
-import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from balldiff import (
     Field,
     GaussianState,
-    GeneralDiffusionLaw,
     Grid1D,
     ResourceLimitError,
     SlitConfig,
     TrajectorySet,
     ValidationError,
-    analytic_sigma,
-    auto_grid,
     grid_spanning,
     make_physical_params,
 )
@@ -45,21 +39,6 @@ def test_physical_params_frozen():
     p = make_physical_params(1.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.hbar = 2.0
-
-
-def test_ballistic_law_specialization():
-    law = GeneralDiffusionLaw.ballistic(sigma0=1.0, diffusivity=0.5)
-    assert law.alpha == 1.0
-    assert law.k == 0.25
-    assert law.coefficient(2.0) == 0.5
-    assert law.coefficient(0.0) == 0.0
-
-
-def test_general_law_rejects_negative():
-    with pytest.raises(ValidationError):
-        GeneralDiffusionLaw(k=-1.0, alpha=1.0)
-    with pytest.raises(ValidationError):
-        GeneralDiffusionLaw(k=1.0, alpha=-0.5)
 
 
 def test_gaussian_state_requires_positive_sigma0():
@@ -130,57 +109,6 @@ def test_trajectory_set_validates_quantiles():
         TrajectorySet(quantiles=[0.0, 0.5], times=[0.0], paths=[[0.0], [1.0]])
     with pytest.raises(ValidationError):
         TrajectorySet(quantiles=[0.3], times=[0.0, 1.0], paths=[[0.0]])
-
-
-def test_auto_grid_spacing_and_width(params, unit_state):
-    g = auto_grid(unit_state, params, t_final=0.0, points_per_sigma0=10,
-                  safety_span=10.0, dt=0.1)
-    assert g.dx == 0.1
-    assert g.nx % 2 == 1
-    assert (g.nx - 1) // 2 * g.dx >= 10.0 - 1e-12
-
-
-def test_auto_grid_covers_final_spread(unit_state):
-    # D = 1 here, so sigma(1) = sqrt(2)
-    p = make_physical_params(2.0, 1.0)
-    g = auto_grid(unit_state, p, t_final=1.0, points_per_sigma0=10,
-                  safety_span=10.0, dt=0.1)
-    assert (g.nx - 1) // 2 * g.dx >= 10.0 * math.sqrt(2.0) - 1e-12
-
-
-def test_auto_grid_center_is_a_node(params):
-    state = GaussianState(sigma0=0.7, center=3.2)
-    g = auto_grid(state, params, t_final=2.0, points_per_sigma0=16,
-                  safety_span=10.0, dt=0.1)
-    mid = g.x[(g.nx - 1) // 2]
-    assert mid == pytest.approx(3.2, abs=1e-12)
-
-
-def test_auto_grid_resource_cap(unit_state):
-    p = make_physical_params(2.0, 1.0)
-    with pytest.raises(ResourceLimitError):
-        auto_grid(unit_state, p, t_final=1e6, points_per_sigma0=10,
-                  safety_span=10.0, dt=0.1)
-
-
-def test_auto_grid_rejects_bad_resolution(params, unit_state):
-    with pytest.raises(ValidationError):
-        auto_grid(unit_state, params, t_final=1.0, points_per_sigma0=7, dt=0.1)
-    with pytest.raises(ValidationError):
-        auto_grid(unit_state, params, t_final=1.0, safety_span=4.0, dt=0.1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(sigma0=st.floats(0.1, 10.0), t_final=st.floats(0.0, 100.0))
-def test_auto_grid_postconditions_hold(sigma0, t_final):
-    p = make_physical_params(1.0, 1.0)
-    state = GaussianState(sigma0=sigma0)
-    g = auto_grid(state, p, t_final, points_per_sigma0=10, safety_span=10.0,
-                  dt=0.1, nx_cap=2**24)
-    assert g.dx == sigma0 / 10
-    assert g.nx % 2 == 1
-    need = 10.0 * analytic_sigma(t_final, sigma0, p.diffusivity)
-    assert (g.nx - 1) // 2 * g.dx >= need - 1e-9 * need
 
 
 def test_grid_spanning_step_count_immune_to_float_noise():

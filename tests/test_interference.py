@@ -11,8 +11,6 @@ from balldiff import (
     IntensityMap,
     SlitConfig,
     ValidationError,
-    analytic_sigma,
-    auto_grid_double_slit,
     compose_intensity,
     detect_fringe_maxima,
     fringe_spacing,
@@ -20,12 +18,18 @@ from balldiff import (
     grid_spanning,
     make_physical_params,
     phase,
+    required_half_width,
     simulate_double_slit,
 )
 
 
 def _slits(separation=6.0, dvx=2.0, sigma0=1.0):
     return SlitConfig(separation=separation, sigma0=sigma0, v1=0.5 * dvx, v2=-0.5 * dvx)
+
+
+def _grid(slits, params, t_final, points_per_sigma0, dt):
+    need = required_half_width(slits, params, t_final, 10.0)
+    return grid_spanning(0.0, need, slits.sigma0 / points_per_sigma0, dt=dt, t_final=t_final)
 
 
 def test_phase_values(params):
@@ -71,8 +75,7 @@ def test_compose_intensity_bounds(p1, p2, phi):
 
 def test_zero_dvx_degeneracy(params):
     slits = _slits(separation=2.0, dvx=0.0)
-    grid = auto_grid_double_slit(slits, params, t_final=1.0, points_per_sigma0=10,
-                                 dt=0.05)
+    grid = _grid(slits, params, 1.0, 10, dt=0.05)
     imap = simulate_double_slit(slits, grid, params, [0.0, 0.5, 1.0])
     expected = (np.sqrt(imap.p1) + np.sqrt(imap.p2)) ** 2
     assert np.max(np.abs(imap.p_total - expected)) <= 1e-12
@@ -81,8 +84,7 @@ def test_zero_dvx_degeneracy(params):
 def test_zero_dvx_midpoint_adds_constructively(params):
     """Equal tails at the midpoint: the total is four times one beam."""
     slits = _slits(separation=4.0, dvx=0.0)
-    grid = auto_grid_double_slit(slits, params, t_final=0.5, points_per_sigma0=16,
-                                 dt=0.05)
+    grid = _grid(slits, params, 0.5, 16, dt=0.05)
     imap = simulate_double_slit(slits, grid, params, [0.5])
     mid = (grid.nx - 1) // 2
     assert grid.x[mid] == pytest.approx(0.0, abs=1e-12)
@@ -92,8 +94,7 @@ def test_zero_dvx_midpoint_adds_constructively(params):
 
 def test_mirror_symmetry(params):
     slits = _slits(separation=4.0, dvx=1.0)
-    grid = auto_grid_double_slit(slits, params, t_final=1.0, points_per_sigma0=16,
-                                 dt=0.02)
+    grid = _grid(slits, params, 1.0, 16, dt=0.02)
     imap = simulate_double_slit(slits, grid, params, [1.0])
     total = imap.p_total[0]
     assert np.max(np.abs(total - total[::-1])) <= 1e-12
@@ -136,16 +137,6 @@ def test_fringe_spacing_values(params):
         fringe_spacing(params, 0.0)
 
 
-def test_auto_grid_double_slit_covers_drifted_beams(params):
-    slits = _slits(separation=6.0, dvx=2.0)
-    grid = auto_grid_double_slit(slits, params, t_final=2.0, points_per_sigma0=16,
-                                 safety_span=10.0, dt=0.01)
-    # beam 1 starts at -3 and drifts to -1; spread reach is 10 sigma(2)
-    need = abs(-3.0 + 1.0 * 2.0) + 10.0 * analytic_sigma(2.0, 1.0, 0.5)
-    assert grid.x_max >= need - 1e-9
-    assert grid.x_min <= -need + 1e-9
-
-
 def test_intensity_map_validates_shapes():
     with pytest.raises(ValidationError):
         IntensityMap(
@@ -167,8 +158,7 @@ def test_intensity_map_validates_shapes():
 
 def test_simulate_keeps_both_beam_densities(params):
     slits = _slits(separation=3.0, dvx=1.0)
-    grid = auto_grid_double_slit(slits, params, t_final=0.5, points_per_sigma0=10,
-                                 dt=0.05)
+    grid = _grid(slits, params, 0.5, 10, dt=0.05)
     imap = simulate_double_slit(slits, grid, params, [0.0, 0.5])
     assert imap.p1.shape == (2, grid.nx)
     assert imap.p2.shape == (2, grid.nx)

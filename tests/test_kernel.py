@@ -50,6 +50,16 @@ def test_apply_passes_rejects_tiny_arrays():
         _py_impl.apply_passes(np.array([1.0, 2.0]), np.array([0.1]))
 
 
+@pytest.mark.parametrize("values, nu, expected", [
+    pytest.param([0.0, 0.0, 1.0, 0.0, 0.0], 0.5, [0.0, 0.5, 0.0, 0.5, 0.0],
+                 id="spike_at_half_limit"),
+    pytest.param([0.7, 0.7, 0.7, 0.7], 0.37, [0.7, 0.7, 0.7, 0.7], id="uniform_is_identity"),
+])
+def test_apply_passes_exact_values(values, nu, expected):
+    out = _py_impl.apply_passes(np.array(values), np.array([nu]))
+    assert np.array_equal(out, expected)
+
+
 @needs_compiled
 @pytest.mark.parametrize("nx", [3, 4, 17, 1000, 4097])
 @pytest.mark.parametrize("n_passes", [1, 7, 64])

@@ -9,12 +9,9 @@ from balldiff import (
     Field,
     GaussianState,
     Grid1D,
-    StabilityError,
     ValidationError,
     analytic_sigma,
-    courant_number,
     evolve,
-    fd_step,
     gaussian_pdf,
     grid_spanning,
     sample_gaussian_field,
@@ -42,40 +39,6 @@ def _spread_setup(dx, dt, t_final, params, state):
     half = 10.0 * analytic_sigma(t_final, state.sigma0, params.diffusivity)
     grid = grid_spanning(state.center, half, dx, dt=dt, t_final=t_final)
     return grid, sample_gaussian_field(state, grid)
-
-
-def test_fd_step_single_spike():
-    out = fd_step(Field(time=0.0, values=[0.0, 1.0, 0.0]), nu=0.25)
-    assert np.array_equal(out.values, [0.0, 0.5, 0.0])
-
-
-def test_fd_step_spike_at_half_limit():
-    out = fd_step(Field(time=0.0, values=[0.0, 0.0, 1.0, 0.0, 0.0]), nu=0.5)
-    assert np.array_equal(out.values, [0.0, 0.5, 0.0, 0.5, 0.0])
-
-
-def test_fd_step_uniform_is_identity():
-    f = Field(time=1.0, values=[0.7, 0.7, 0.7, 0.7])
-    out = fd_step(f, nu=0.37)
-    assert np.array_equal(out.values, f.values)
-
-
-def test_fd_step_keeps_time_tag():
-    out = fd_step(Field(time=2.5, values=[0.0, 1.0, 0.0]), nu=0.1)
-    assert out.time == 2.5
-
-
-@pytest.mark.parametrize("nu", [-0.01, 0.51, 1.0])
-def test_fd_step_rejects_unstable_nu(nu):
-    with pytest.raises(StabilityError):
-        fd_step(Field(time=0.0, values=[0.0, 1.0, 0.0]), nu=nu)
-
-
-def test_courant_number_examples():
-    g = Grid1D(x_min=0.0, dx=0.1, nx=3, dt=0.001, n_steps=1)
-    assert courant_number(0.0, g, 1.0, 1.0) == 0.0
-    assert courant_number(1.0, g, 1.0, 1.0) == pytest.approx(0.1, rel=1e-14)
-    assert courant_number(10.0, g, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_evolve_headline_spreading(params, unit_state):
