@@ -18,6 +18,10 @@ from .errors import ResourceLimitError, ValidationError
 #: so an over-long run would otherwise exhaust memory instead of failing fast.
 DEFAULT_NX_CAP = 2**22
 
+#: Upper bound on macro steps; the stepper holds the whole substep schedule in
+#: memory, so a tiny dt would otherwise exhaust memory instead of failing fast.
+MAX_STEPS = 2**22
+
 
 def _require_positive(name: str, value: float) -> float:
     value = float(value)
@@ -200,5 +204,10 @@ def grid_spanning(
             f"grid would need {nx} nodes (cap {nx_cap}); "
             "coarsen dx, shorten t_final, or lower safety_span"
         )
-    n_steps = max(1, math.ceil(t_final / dt - 1e-9))
+    steps = t_final / dt - 1e-9
+    if steps > MAX_STEPS:
+        raise ResourceLimitError(
+            f"run would need {steps:.3g} macro steps (cap {MAX_STEPS}); raise dt or shorten t_final"
+        )
+    n_steps = max(1, math.ceil(steps))
     return Grid1D(x_min=center - n_half * dx, dx=dx, nx=nx, dt=dt, n_steps=n_steps)

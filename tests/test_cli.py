@@ -72,6 +72,15 @@ def test_grid_cap_failure_reported(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_step_cap_failure_reported(tmp_path, capsys):
+    text = BASE.replace("dt = 0.05", "dt = 1e-15")
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "macro steps" in err
+    assert "Traceback" not in err
+
+
 def test_doubleslit_requires_slit_section(tmp_path, capsys):
     assert main(["doubleslit", "--config", _cfg(tmp_path, BASE), "--out", str(tmp_path / "o")]) == 1
     assert "slits" in capsys.readouterr().err

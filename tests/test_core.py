@@ -15,6 +15,7 @@ from balldiff import (
     grid_spanning,
     make_physical_params,
 )
+from balldiff.core import MAX_STEPS
 
 
 def test_diffusivity_is_hbar_over_two_mass():
@@ -120,3 +121,10 @@ def test_grid_spanning_step_count_immune_to_float_noise():
 def test_grid_spanning_cap():
     with pytest.raises(ResourceLimitError):
         grid_spanning(0.0, 1e6, 0.01, dt=0.1, t_final=1.0, nx_cap=100000)
+
+
+def test_grid_spanning_step_cap():
+    assert grid_spanning(0.0, 1.0, 0.1, dt=1.0, t_final=float(MAX_STEPS)).n_steps == MAX_STEPS
+    for t_final in (MAX_STEPS + 1.0, 1e300):
+        with pytest.raises(ResourceLimitError, match="macro steps"):
+            grid_spanning(0.0, 1.0, 0.1, dt=1.0, t_final=t_final)

@@ -8,12 +8,6 @@ from balldiff import kernel_backend
 from balldiff._kernel import select_kernel
 
 _py_impl, _ = select_kernel("python")
-try:
-    _c_impl, _ = select_kernel("compiled")
-except ImportError:
-    _c_impl = None
-
-needs_compiled = pytest.mark.skipif(_c_impl is None, reason="compiled kernel not built")
 
 
 def test_backend_reports_known_name():
@@ -38,16 +32,16 @@ def test_select_unknown_name_rejected():
         select_kernel("fortran")
 
 
-def test_apply_passes_leaves_input_untouched():
+def test_apply_passes_leaves_input_untouched(kernel):
     a = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
     before = a.copy()
-    _py_impl.apply_passes(a, np.array([0.3, 0.3]))
+    kernel.apply_passes(a, np.array([0.3, 0.3]))
     assert np.array_equal(a, before)
 
 
-def test_apply_passes_rejects_tiny_arrays():
-    with pytest.raises(ValueError):
-        _py_impl.apply_passes(np.array([1.0, 2.0]), np.array([0.1]))
+def test_apply_passes_rejects_tiny_arrays(kernel):
+    with pytest.raises(ValueError, match="stencil needs at least 3 nodes"):
+        kernel.apply_passes(np.array([1.0, 2.0]), np.array([0.1]))
 
 
 @pytest.mark.parametrize("values, nu, expected", [
@@ -55,37 +49,41 @@ def test_apply_passes_rejects_tiny_arrays():
                  id="spike_at_half_limit"),
     pytest.param([0.7, 0.7, 0.7, 0.7], 0.37, [0.7, 0.7, 0.7, 0.7], id="uniform_is_identity"),
 ])
-def test_apply_passes_exact_values(values, nu, expected):
-    out = _py_impl.apply_passes(np.array(values), np.array([nu]))
+def test_apply_passes_exact_values(kernel, values, nu, expected):
+    out = kernel.apply_passes(np.array(values), np.array([nu]))
     assert np.array_equal(out, expected)
 
 
-@needs_compiled
 @pytest.mark.parametrize("nx", [3, 4, 17, 1000, 4097])
-@pytest.mark.parametrize("n_passes", [1, 7, 64])
-def test_backends_bitwise_identical(nx, n_passes):
+@pytest.mark.parametrize("n_passes", [0, 1, 7, 64])
+@pytest.mark.parametrize("layout", ["contiguous", "values_strided", "nus_strided", "values_float32"])
+def test_backends_bitwise_identical(compiled_stencil, nx, n_passes, layout):
     rng = np.random.default_rng(nx * 1000 + n_passes)
-    values = rng.random(nx)
-    nus = rng.random(n_passes) * 0.5
+    values = rng.random(2 * nx)
+    nus = rng.random(2 * n_passes) * 0.5
+    values = values[::2] if layout == "values_strided" else values[:nx]
+    nus = nus[::2] if layout == "nus_strided" else nus[:n_passes]
+    if layout == "values_float32":
+        values = values.astype(np.float32)
     out_py = _py_impl.apply_passes(values, nus)
-    out_c = _c_impl.apply_passes(values, nus)
+    out_c = compiled_stencil.apply_passes(values, nus)
+    assert out_c.dtype == np.float64
     assert np.array_equal(out_py, out_c)
 
 
-@needs_compiled
 @settings(max_examples=80, deadline=None)
 @given(
     values=st.lists(st.floats(0.0, 1e6), min_size=3, max_size=40),
     nus=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=8),
 )
-def test_backends_bitwise_identical_property(values, nus):
+def test_backends_bitwise_identical_property(compiled_stencil, values, nus):
     a = np.array(values)
     n = np.array(nus)
-    assert np.array_equal(_py_impl.apply_passes(a, n), _c_impl.apply_passes(a, n))
+    assert np.array_equal(_py_impl.apply_passes(a, n), compiled_stencil.apply_passes(a, n))
 
 
-def test_edges_held_through_passes():
+def test_edges_held_through_passes(kernel):
     a = np.array([3.0, 1.0, 0.0, 1.0, 7.0])
-    out = _py_impl.apply_passes(a, np.array([0.4, 0.4, 0.4]))
+    out = kernel.apply_passes(a, np.array([0.4, 0.4, 0.4]))
     assert out[0] == 3.0
     assert out[-1] == 7.0

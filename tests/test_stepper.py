@@ -18,21 +18,8 @@ from balldiff import (
     second_moment_sigma,
 )
 from balldiff import stepper
-from balldiff._kernel import select_kernel
 from balldiff.analytic import diffusion_coefficient
 from balldiff.stepper import STABILITY_TARGET, StepperReport, _edge_fraction, _snap_indices
-
-_py_kernel, _ = select_kernel("python")
-try:
-    _c_kernel, _ = select_kernel("compiled")
-except ImportError:
-    _c_kernel = None
-
-_KERNELS = [
-    pytest.param(_py_kernel, id="python"),
-    pytest.param(_c_kernel, id="compiled", marks=pytest.mark.skipif(
-        _c_kernel is None, reason="compiled kernel not built")),
-]
 
 
 def _spread_setup(dx, dt, t_final, params, state):
@@ -246,7 +233,7 @@ def _assert_same_run(got, want):
         assert getattr(report, name) == getattr(ref_report, name), name
 
 
-@pytest.mark.parametrize("kernel", _KERNELS)
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
 @pytest.mark.parametrize("t0, times", [
     (0.0, [0.0]),
     (0.0, [0.0, 0.0]),
@@ -268,7 +255,7 @@ def test_evolve_schedule_matches_per_macro_step_loop(monkeypatch, params, unit_s
     assert counting.calls == len({t for t in times if t > t0})
 
 
-@pytest.mark.parametrize("kernel", _KERNELS)
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
 def test_evolve_schedule_raises_leak_at_same_snapshot(monkeypatch, params, unit_state,
                                                       kernel):
     # 6 sigma0 each side: clean at t = 1, past the leak threshold by t = 2
