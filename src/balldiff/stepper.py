@@ -18,11 +18,15 @@ import numpy as np
 from ._kernel import apply_passes
 from .analytic import diffusion_coefficient, gaussian_pdf
 from .core import Field, GaussianState, Grid1D, PhysicalParams
-from .errors import DomainTooSmallError, ValidationError
+from .errors import DomainTooSmallError, ResourceLimitError, ValidationError
 
 #: Substepping target, strictly below the von Neumann bound of 1/2 because
 #: the coefficient keeps growing within a macro step.
 STABILITY_TARGET = 0.4
+
+#: Most stencil passes one evolve call may schedule; the schedule holds
+#: about 40 bytes per pass.
+MAX_PASSES = 2**24
 
 #: Mass within this many cells of either edge counts as boundary leak.
 _EDGE_CELLS = 3
@@ -82,7 +86,14 @@ def _substep_schedule(
     dx2 = grid.dx**2
     m = np.arange(n_macro)  # macro step number minus one
     nu_end = diffusion_coefficient(t0 + (m + 1) * dt, sigma0, diffusivity) * dt / dx2
-    n_sub = np.maximum(np.ceil(nu_end / STABILITY_TARGET - 1e-12), 1.0).astype(np.int64)
+    n_sub = np.maximum(np.ceil(nu_end / STABILITY_TARGET - 1e-12), 1.0)
+    total = n_sub.sum()
+    if not total <= MAX_PASSES:  # also refuses nan
+        raise ResourceLimitError(
+            f"run would need {total:.3g} stencil passes (cap {MAX_PASSES}); "
+            "raise dx or shorten t_final"
+        )
+    n_sub = n_sub.astype(np.int64)
     sub_dt = dt / n_sub
     pass_end = np.cumsum(n_sub)
     step = np.repeat(m, n_sub)  # macro step of each pass
@@ -96,7 +107,8 @@ def _edge_fraction(v: np.ndarray) -> float:
     total = v.sum()
     if total <= 0.0:
         return 0.0
-    edge = v[:_EDGE_CELLS].sum() + v[-_EDGE_CELLS:].sum()
+    # on grids of fewer than 2 * _EDGE_CELLS nodes the two edges meet; count each node once
+    edge = v[:_EDGE_CELLS].sum() + v[max(_EDGE_CELLS, v.size - _EDGE_CELLS):].sum()
     return float(edge / total)
 
 

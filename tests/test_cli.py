@@ -81,6 +81,22 @@ def test_step_cap_failure_reported(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_pass_cap_failure_reported(tmp_path, capsys):
+    text = BASE.replace("dx = 0.1", "dx = 0.001").replace("dt = 0.05", "dt = 0.1")
+    text = text.replace("t_final = 1.0", "t_final = 100")
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "stencil passes" in err
+    assert "Traceback" not in err
+
+
+def test_three_node_grid_leak_is_whole_mass(tmp_path, capsys):
+    text = BASE.replace("dx = 0.1", "dx = 100").replace("dt = 0.05", "dt = 0.01")
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    assert "error: boundary holds 1.000e+00 of the mass" in capsys.readouterr().err
+
+
 def test_doubleslit_requires_slit_section(tmp_path, capsys):
     assert main(["doubleslit", "--config", _cfg(tmp_path, BASE), "--out", str(tmp_path / "o")]) == 1
     assert "slits" in capsys.readouterr().err

@@ -10,6 +10,19 @@ from balldiff._kernel import select_kernel
 _py_impl, _ = select_kernel("python")
 
 
+def _allocating_passes(values, nus):
+    """Reference numpy kernel: fresh temporaries and edge writes on every pass."""
+    a = np.array(values, dtype=np.float64)
+    b = np.empty_like(a)
+    for nu in nus:
+        b[0] = a[0]
+        b[-1] = a[-1]
+        lap = (a[2:] - 2.0 * a[1:-1]) + a[:-2]
+        b[1:-1] = a[1:-1] + nu * lap
+        a, b = b, a
+    return a
+
+
 def test_backend_reports_known_name():
     assert kernel_backend() in ("python", "compiled")
 
@@ -35,8 +48,10 @@ def test_select_unknown_name_rejected():
 def test_apply_passes_leaves_input_untouched(kernel):
     a = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
     before = a.copy()
-    kernel.apply_passes(a, np.array([0.3, 0.3]))
-    assert np.array_equal(a, before)
+    for n_passes in (0, 1, 2):  # the fresh copy, then either ping-pong buffer
+        out = kernel.apply_passes(a, np.full(n_passes, 0.3))
+        assert np.array_equal(a, before)
+        assert not np.shares_memory(out, a)
 
 
 def test_apply_passes_rejects_tiny_arrays(kernel):
@@ -69,6 +84,21 @@ def test_backends_bitwise_identical(compiled_stencil, nx, n_passes, layout):
     out_c = compiled_stencil.apply_passes(values, nus)
     assert out_c.dtype == np.float64
     assert np.array_equal(out_py, out_c)
+
+
+@pytest.mark.parametrize("nx", [3, 4, 17, 1000])
+@pytest.mark.parametrize("n_passes", [0, 1, 2, 7, 64])
+@pytest.mark.parametrize("layout", ["contiguous", "values_strided", "values_float32"])
+def test_python_kernel_matches_allocating_reference(nx, n_passes, layout):
+    rng = np.random.default_rng(nx * 1000 + n_passes)
+    values = rng.random(2 * nx)
+    values = values[::2] if layout == "values_strided" else values[:nx]
+    if layout == "values_float32":
+        values = values.astype(np.float32)
+    nus = (rng.random(n_passes) * 0.5).tolist()
+    out = _py_impl.apply_passes(values, nus)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, _allocating_passes(values, nus))
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,6 +9,7 @@ from balldiff import (
     Field,
     GaussianState,
     Grid1D,
+    ResourceLimitError,
     ValidationError,
     analytic_sigma,
     evolve,
@@ -110,6 +111,30 @@ def test_evolve_flags_boundary_leak(params, unit_state):
     f0 = sample_gaussian_field(unit_state, grid)
     with pytest.raises(DomainTooSmallError):
         evolve(f0, grid, unit_state, params, [0.0, 2.0, 4.0])
+
+
+def test_evolve_refuses_schedule_over_pass_cap(params, unit_state):
+    # dx = 0.001 to t = 100 needs about 3.1e9 passes; the cap refuses it before
+    # the schedule is allocated (the grid is narrow, since only dx sets the count)
+    grid = grid_spanning(0.0, 1.0, 0.001, dt=0.1, t_final=100.0)
+    f0 = sample_gaussian_field(unit_state, grid)
+    with pytest.raises(ResourceLimitError, match=r"3\.13e\+09 stencil passes .*dx or shorten t_final"):
+        evolve(f0, grid, unit_state, params, [100.0])
+
+
+def test_evolve_pass_cap_is_inclusive(monkeypatch, params, unit_state):
+    grid, f0 = _spread_setup(0.05, 0.01, 1.0, params, unit_state)
+    _, report = evolve(f0, grid, unit_state, params, [1.0])
+    monkeypatch.setattr(stepper, "MAX_PASSES", report.total_substeps)
+    evolve(f0, grid, unit_state, params, [1.0])
+    monkeypatch.setattr(stepper, "MAX_PASSES", report.total_substeps - 1)
+    with pytest.raises(ResourceLimitError, match="stencil passes"):
+        evolve(f0, grid, unit_state, params, [1.0])
+
+
+@pytest.mark.parametrize("nx, expected", [(3, 1.0), (4, 1.0), (5, 1.0), (6, 1.0), (7, 6 / 7)])
+def test_edge_fraction_counts_each_node_once(nx, expected):
+    assert _edge_fraction(np.ones(nx)) == expected
 
 
 def test_sample_gaussian_field_has_exact_unit_mass(params, unit_state):
