@@ -8,6 +8,7 @@ in-config tolerance check fails, so a failed run can still be inspected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import sys
@@ -26,7 +27,7 @@ from .config import (
     load_raw,
     single_beam_grid,
 )
-from .core import grid_spanning
+from .core import grid_spanning  # noqa: F401  (unused: kept bound for perfbench/spans.py)
 from .errors import BalldiffError, ConfigError, ValidationError
 from .interference import detect_fringe_maxima, fringe_spacing, simulate_double_slit
 from .stepper import evolve, sample_gaussian_field, second_moment_sigma
@@ -50,19 +51,23 @@ def _trapezoid_mass(values: np.ndarray, dx: float) -> float:
     return float((values.sum() - 0.5 * (values[0] + values[-1])) * dx)
 
 
+def _evolve_packet(cfg: RunConfig):
+    """Grid, snapshots and stepper report of the config's single Gaussian packet."""
+    grid = single_beam_grid(cfg)
+    initial = sample_gaussian_field(cfg.state, grid)
+    snaps, report = evolve(initial, grid, cfg.state, cfg.params, cfg.snapshot_times)
+    return grid, snaps, report
+
+
 def run_spread(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int:
     """Evolve a single packet; record densities and the spreading history."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = single_beam_grid(cfg)
-    initial = sample_gaussian_field(cfg.state, grid)
-    snaps, report = evolve(initial, grid, cfg.state, cfg.params, cfg.snapshot_times)
+    grid, snaps, report = _evolve_packet(cfg)
 
     times = np.array([s.time for s in snaps])
     sigma_sim = np.array([second_moment_sigma(s, grid) for s in snaps])
-    sigma_ref = np.array(
-        [analytic_sigma(t, cfg.state.sigma0, cfg.params.diffusivity) for t in times]
-    )
+    sigma_ref = analytic_sigma(times, cfg.state.sigma0, cfg.params.diffusivity)
     rel_error = np.abs(sigma_sim - sigma_ref) / sigma_ref
 
     write_table(
@@ -97,11 +102,9 @@ def run_spread(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int:
 
 def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int:
     """Evolve both slit beams, compose intensities, locate fringe maxima."""
-    if cfg.slits is None:
-        raise ConfigError(f"{cfg.origin}: [slits] section is required for doubleslit")
+    grid = double_slit_grid(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = double_slit_grid(cfg)
     imap = simulate_double_slit(cfg.slits, grid, cfg.params, cfg.snapshot_times)
 
     total_name = "p_total_normalized" if cfg.normalize_total else "p_total"
@@ -152,9 +155,7 @@ def run_trajectories(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> i
     """Trace flux lines of a single packet and check their homothety."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = single_beam_grid(cfg)
-    initial = sample_gaussian_field(cfg.state, grid)
-    snaps, _ = evolve(initial, grid, cfg.state, cfg.params, cfg.snapshot_times)
+    grid, snaps, _ = _evolve_packet(cfg)
     traj = trace_flux_lines(snaps, grid, cfg.quantiles)
 
     nq, nt = traj.paths.shape
@@ -168,28 +169,21 @@ def run_trajectories(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> i
     )
 
     center = cfg.state.center
-    sigma_ref = analytic_sigma(traj.times[0], cfg.state.sigma0, cfg.params.diffusivity)
-    rows_q, rows_t, rows_exp, rows_act, rows_dev = [], [], [], [], []
-    for i, q in enumerate(traj.quantiles):
-        offset0 = traj.paths[i, 0] - center
-        if abs(offset0) < 1e-9 * cfg.state.sigma0:
-            continue  # median: homothety ratio is 0/0
-        for k, t in enumerate(traj.times):
-            scale = analytic_sigma(t, cfg.state.sigma0, cfg.params.diffusivity) / sigma_ref
-            expected = center + offset0 * scale
-            actual = traj.paths[i, k]
-            rows_q.append(q)
-            rows_t.append(t)
-            rows_exp.append(expected)
-            rows_act.append(actual)
-            rows_dev.append(abs(actual - expected) / abs(offset0 * scale))
+    sigma_t = analytic_sigma(traj.times, cfg.state.sigma0, cfg.params.diffusivity)
+    offset0 = traj.paths[:, 0] - center
+    kept = np.abs(offset0) >= 1e-9 * cfg.state.sigma0  # median: homothety ratio is 0/0
+    offset = offset0[kept, None] * (sigma_t / sigma_t[0])
+    expected = center + offset
+    actual = traj.paths[kept]
+    rel_dev = (np.abs(actual - expected) / np.abs(offset)).ravel()
     write_table(
         out_dir / "homothety.txt",
         ["quantile", "t", "x_expected", "x_actual", "rel_dev"],
-        [rows_q, rows_t, rows_exp, rows_act, rows_dev],
+        [np.repeat(traj.quantiles[kept], nt), np.tile(traj.times, int(kept.sum())),
+         expected.ravel(), actual.ravel(), rel_dev],
     )
 
-    worst = max(rows_dev) if rows_dev else 0.0
+    worst = rel_dev.max() if rel_dev.size else 0.0
     _say(quiet, f"trajectories: {nq} flux lines over {nt} snapshots, "
                 f"worst homothety deviation {worst:.3e}")
     if cfg.homothety_tol is not None and worst > cfg.homothety_tol:
@@ -217,24 +211,19 @@ def run_convergence(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
-    half = cfg.safety_span * sigma_end
 
     levels = list(range(refinements + 1))
     dxs, dts, errors = [], [], []
     for level in levels:
-        dx = cfg.dx / 2**level
-        dt = cfg.dt / 4**level
-        grid = grid_spanning(
-            cfg.state.center, half, dx, dt=dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap
-        )
-        initial = sample_gaussian_field(cfg.state, grid)
-        snaps, _ = evolve(initial, grid, cfg.state, cfg.params, [cfg.t_final])
+        grid, snaps, _ = _evolve_packet(dataclasses.replace(
+            cfg, dx=cfg.dx / 2**level, dt=cfg.dt / 4**level, snapshot_times=(cfg.t_final,)
+        ))
         exact = gaussian_pdf(grid.x, cfg.state.center, sigma_end)
         err = float(np.max(np.abs(snaps[-1].values - exact)))
-        dxs.append(dx)
-        dts.append(dt)
+        dxs.append(grid.dx)
+        dts.append(grid.dt)
         errors.append(err)
-        _say(quiet, f"convergence: level {level} dx={dx:g} dt={dt:g} err={err:.3e}")
+        _say(quiet, f"convergence: level {level} dx={grid.dx:g} dt={grid.dt:g} err={err:.3e}")
 
     orders = [math.log2(errors[i - 1] / errors[i]) for i in levels[1:]]
     write_table(
@@ -361,6 +350,7 @@ def run_sweep(
             )
         jobs.append((index, raw_point, origin, command, str(out_dir / f"point_{index:03d}")))
 
+    workers = min(workers, len(jobs))  # a fork-based pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_sweep_point, jobs))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .core import (
     DEFAULT_NX_CAP,
+    MIN_SAFETY_SPAN,
     GaussianState,
     Grid1D,
     PhysicalParams,
@@ -159,8 +160,8 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
         raise ConfigError(f"{origin}: [grid] dx must be positive")
 
     safety_span = val("grid", "safety_span", 10.0)
-    if safety_span < 5.0:
-        raise ConfigError(f"{origin}: [grid] safety_span must be >= 5")
+    if safety_span < MIN_SAFETY_SPAN:
+        raise ConfigError(f"{origin}: [grid] safety_span must be >= {MIN_SAFETY_SPAN:g}")
     nx_cap = val("grid", "nx_cap", DEFAULT_NX_CAP)
 
     slits = None
@@ -187,7 +188,7 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
     snapshot_times = val("output", "snapshot_times")
     if snapshot_times is None:
         count = 5
-        snapshot_times = tuple(sorted({t_final * i / (count - 1) for i in range(count)}))
+        snapshot_times = tuple(sorted({t_final * (i / (count - 1)) for i in range(count)}))
     if any(t < 0.0 for t in snapshot_times):
         raise ConfigError(f"{origin}: [output] snapshot_times must be >= 0")
     if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):

@@ -7,6 +7,7 @@ marked read-only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +22,10 @@ DEFAULT_NX_CAP = 2**22
 #: Upper bound on macro steps; the stepper holds the whole substep schedule in
 #: memory, so a tiny dt would otherwise exhaust memory instead of failing fast.
 MAX_STEPS = 2**22
+
+#: Least half-width, in sigma(t), a grid leaves around each packet: the floor
+#: of ``[grid] safety_span`` and the margin of the double-slit domain check.
+MIN_SAFETY_SPAN = 5.0
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -195,13 +200,17 @@ def grid_spanning(
 ) -> Grid1D:
     """Build an odd-node grid centered on ``center`` covering the given half-width."""
     dx = _require_positive("dx", dx)
+    if dx > math.sqrt(sys.float_info.max):  # dx**2 divides every stencil nu
+        raise ValidationError(f"dx must be at most 1.34e+154, got {dx!r}")
     dt = _require_positive("dt", dt)
     half_width_min = _require_positive("half_width_min", half_width_min)
-    n_half = max(1, math.ceil(half_width_min / dx))
+    n_half = half_width_min / dx
+    if math.isfinite(n_half):  # ceil cannot take inf; the cap check refuses it
+        n_half = max(1, math.ceil(n_half))
     nx = 2 * n_half + 1
     if nx > nx_cap:
         raise ResourceLimitError(
-            f"grid would need {nx} nodes (cap {nx_cap}); "
+            f"grid would need {nx:.15g} nodes (cap {nx_cap}); "
             "coarsen dx, shorten t_final, or lower safety_span"
         )
     steps = t_final / dt - 1e-9

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import analytic_sigma
-from .core import Field, GaussianState, Grid1D, PhysicalParams, SlitConfig
+from .core import MIN_SAFETY_SPAN, GaussianState, Grid1D, PhysicalParams, SlitConfig
 from .errors import DomainTooSmallError, ValidationError
 from .stepper import evolve, sample_gaussian_field
+
+#: Fringe search ignores cells whose beam envelope is below this fraction of its peak.
+_ENVELOPE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,14 +76,6 @@ def compose_intensity(p1, p2, phi):
     return float(out) if scalar else out
 
 
-def _beam_states(slits: SlitConfig) -> tuple[GaussianState, GaussianState]:
-    half = 0.5 * slits.separation
-    return (
-        GaussianState(sigma0=slits.sigma0, center=-half),
-        GaussianState(sigma0=slits.sigma0, center=+half),
-    )
-
-
 def _beam_extents(slits: SlitConfig, params: PhysicalParams, t_final: float,
                   safety_span: float):
     """(x0, v, t, c, reach) per beam at t = 0 and t_final: the beam that starts
@@ -103,9 +98,6 @@ def simulate_double_slit(
     grid: Grid1D,
     params: PhysicalParams,
     snapshot_times,
-    *,
-    safety_span: float = 5.0,
-    leak_threshold: float = 1e-6,
 ) -> IntensityMap:
     """Evolve both slit beams and compose the total intensity per snapshot.
 
@@ -113,9 +105,13 @@ def simulate_double_slit(
     ``v_i * t`` is applied afterwards as a linear-interpolation shift.
     Both per-beam densities are kept in the output for diagnostics; each
     is normalized to unit mass, so the composed total is not.
+
+    Raises :class:`DomainTooSmallError` when the grid leaves less than
+    :data:`~balldiff.core.MIN_SAFETY_SPAN` sigma(t) around either beam at
+    t = 0 or at the last snapshot, the floor ``[grid] safety_span`` enforces.
     """
     t_last = float(np.max(np.asarray(snapshot_times, dtype=np.float64)))
-    for x0, v, t, c, reach in _beam_extents(slits, params, t_last, safety_span):
+    for x0, v, t, c, reach in _beam_extents(slits, params, t_last, MIN_SAFETY_SPAN):
         if c - reach < grid.x_min or c + reach > grid.x_max:
             raise DomainTooSmallError(
                 f"beam from x0={x0} drifting at {v} needs "
@@ -123,26 +119,18 @@ def simulate_double_slit(
                 f"[{grid.x_min:.4g}, {grid.x_max:.4g}]"
             )
 
-    states = _beam_states(slits)
-    drifts = (slits.v1, slits.v2)
-
+    half = 0.5 * slits.separation
     beams: list[np.ndarray] = []
-    times: np.ndarray | None = None
-    for state, v in zip(states, drifts):
+    for center, v in ((-half, slits.v1), (half, slits.v2)):
+        state = GaussianState(sigma0=slits.sigma0, center=center)
         initial = sample_gaussian_field(state, grid)
-        snaps, _ = evolve(
-            initial, grid, state, params, snapshot_times, leak_threshold=leak_threshold
-        )
-        if times is None:
-            times = np.array([s.time for s in snaps])
-        rows = np.stack([_shift(s.values, grid.x, v * s.time) for s in snaps])
-        beams.append(rows)
+        snaps, _ = evolve(initial, grid, state, params, snapshot_times)
+        beams.append(np.stack([_shift(s.values, grid.x, v * s.time) for s in snaps]))
 
     phi = phase(grid.x, slits.dvx, params)
     p_total = np.stack([compose_intensity(r1, r2, phi) for r1, r2 in zip(*beams)])
-    return IntensityMap(
-        times=times, x_axis=grid.x, p1=beams[0], p2=beams[1], p_total=p_total
-    )
+    return IntensityMap(times=[s.time for s in snaps], x_axis=grid.x,
+                        p1=beams[0], p2=beams[1], p_total=p_total)
 
 
 def required_half_width(
@@ -162,8 +150,6 @@ def detect_fringe_maxima(
     p1: np.ndarray,
     p2: np.ndarray,
     p_total: np.ndarray,
-    *,
-    envelope_floor: float = 1e-9,
 ) -> np.ndarray:
     """Positions of constructive-interference maxima in one snapshot.
 
@@ -171,13 +157,13 @@ def detect_fringe_maxima(
     ``(p_total - p1 - p2) / (2 sqrt(p1 p2))``, which recovers the phase
     cosine; maxima of the raw cross term are dragged toward the envelope
     peak and would not land on the cosine's crests. Cells where the
-    envelope is below ``envelope_floor`` of its maximum are ignored.
+    envelope is below :data:`_ENVELOPE_FLOOR` of its maximum are ignored.
     """
     envelope = 2.0 * np.sqrt(p1 * p2)
     peak = envelope.max()
     if peak <= 0.0:
         return np.empty(0)
-    valid = envelope > envelope_floor * peak
+    valid = envelope > _ENVELOPE_FLOOR * peak
     ratio = np.where(valid, (p_total - p1 - p2) / np.where(valid, envelope, 1.0), np.nan)
     ok = valid[1:-1] & valid[:-2] & valid[2:]
     rising = ratio[1:-1] > ratio[:-2]

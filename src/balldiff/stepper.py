@@ -31,6 +31,12 @@ MAX_PASSES = 2**24
 #: Mass within this many cells of either edge counts as boundary leak.
 _EDGE_CELLS = 3
 
+#: Largest boundary leak a snapshot may hold before the domain counts as too small.
+_LEAK_THRESHOLD = 1e-6
+
+#: How far the initial field's mass may sit from 1.
+_MASS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class StepperReport:
@@ -118,9 +124,6 @@ def evolve(
     state: GaussianState,
     params: PhysicalParams,
     snapshot_times,
-    *,
-    leak_threshold: float = 1e-6,
-    mass_tol: float = 1e-9,
 ) -> tuple[list[Field], StepperReport]:
     """March the density forward, emitting snapshots at the requested times.
 
@@ -133,16 +136,17 @@ def evolve(
     that is expected behavior, not a bug.
 
     Raises :class:`DomainTooSmallError` as soon as a snapshot holds more
-    than ``leak_threshold`` of its mass within 3 cells of either edge.
+    than :data:`_LEAK_THRESHOLD` of its mass within :data:`_EDGE_CELLS`
+    cells of either edge.
     """
     if initial.values.shape[0] != grid.nx:
         raise ValidationError(
             f"initial field has {initial.values.shape[0]} nodes, grid has {grid.nx}"
         )
     mass0 = initial.mass(grid.dx)
-    if abs(mass0 - 1.0) > mass_tol:
+    if abs(mass0 - 1.0) > _MASS_TOL:
         raise ValidationError(
-            f"initial field mass {mass0!r} is not 1 within {mass_tol}"
+            f"initial field mass {mass0!r} is not 1 within {_MASS_TOL}"
         )
     t0 = initial.time
     indices = _snap_indices(snapshot_times, grid, t0)
@@ -165,7 +169,7 @@ def evolve(
         t = t0 + step * grid.dt
         leak = _edge_fraction(v)
         worst_leak = max(worst_leak, leak)
-        if leak > leak_threshold:
+        if leak > _LEAK_THRESHOLD:
             raise DomainTooSmallError(
                 f"boundary holds {leak:.3e} of the mass at t={t}; widen the domain"
             )

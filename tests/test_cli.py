@@ -2,10 +2,19 @@
 import numpy as np
 import pytest
 
-from balldiff import GaussianState, sample_gaussian_field
+import balldiff.cli as cli
+from balldiff import (
+    GaussianState,
+    analytic_sigma,
+    evolve,
+    gaussian_pdf,
+    grid_spanning,
+    sample_gaussian_field,
+    trace_flux_lines,
+)
 from balldiff.cli import main
 from balldiff.config import load_config, single_beam_grid
-from balldiff.tables import read_table
+from balldiff.tables import read_table, write_table
 
 BASE = """\
 [physical]
@@ -287,3 +296,129 @@ def test_sweep_non_numeric_value_reported(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "slits.dvx" in err and "abc" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_huge_safety_span_reported(tmp_path, capsys):
+    # safety_span * sigma(t_final) is finite, but its ratio to dx is not
+    text = BASE + "safety_span = 1e308\n"
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid would need inf nodes (cap ")
+    assert "Traceback" not in err
+
+
+def test_huge_dx_reported(tmp_path, capsys):
+    text = BASE.replace("dx = 0.1", "dx = 1e308")
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dx must be at most ")
+    assert "Traceback" not in err
+
+
+def test_default_snapshot_times_of_huge_t_final(tmp_path, capsys):
+    # a packet this wide and slow keeps sigma(t_final) finite and the grid small,
+    # so the macro-step cap is what refuses the run
+    text = ("[physical]\nhbar = 1e-200\n[packet]\nsigma0 = 1e60\n"
+            "[grid]\ndt = 1.0\nt_final = 1e308\n")
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run would need 1e+308 macro steps")
+
+
+def test_sweep_workers_capped_at_point_count(tmp_path, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor and runs the points in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    text = BASE + "\n[sweep]\ncommand = spread\ngrid.t_final = 0.5, 1.0\n"
+    assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--quiet", "--workers", "10000"]) == 0
+    assert started == [2]
+    # one point needs no pool at all
+    text = BASE + "\n[sweep]\ncommand = spread\ngrid.t_final = 0.5\n"
+    assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "p"),
+                 "--quiet", "--workers", "10000"]) == 0
+    assert started == [2]
+
+
+def _homothety_reference(cfg, traj):
+    """Rows of homothety.txt, one flux line and one time at a time."""
+    center = cfg.state.center
+    sigma_ref = analytic_sigma(traj.times[0], cfg.state.sigma0, cfg.params.diffusivity)
+    rows_q, rows_t, rows_exp, rows_act, rows_dev = [], [], [], [], []
+    for i, q in enumerate(traj.quantiles):
+        offset0 = traj.paths[i, 0] - center
+        if abs(offset0) < 1e-9 * cfg.state.sigma0:
+            continue  # median: homothety ratio is 0/0
+        for k, t in enumerate(traj.times):
+            scale = analytic_sigma(t, cfg.state.sigma0, cfg.params.diffusivity) / sigma_ref
+            expected = center + offset0 * scale
+            actual = traj.paths[i, k]
+            rows_q.append(q)
+            rows_t.append(t)
+            rows_exp.append(expected)
+            rows_act.append(actual)
+            rows_dev.append(abs(actual - expected) / abs(offset0 * scale))
+    return [rows_q, rows_t, rows_exp, rows_act, rows_dev]
+
+
+@pytest.mark.parametrize("extra", [
+    "[packet]\nsigma0 = 1.0\ncenter = 0.73\n",
+    "[packet]\nsigma0 = 1.0\n[trajectories]\nquantiles = 0.05, 0.3, 0.5, 0.9\n",
+    "[packet]\nsigma0 = 1.0\n[trajectories]\nquantiles = 0.5\n",
+], ids=["off_centre", "with_median", "median_only"])
+def test_homothety_table_matches_per_row_reference(tmp_path, extra):
+    text = BASE.replace("[packet]\nsigma0 = 1.0\n", extra)
+    out = tmp_path / "out"
+    assert main(["trajectories", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == 0
+    cfg = load_config(tmp_path / "run.cfg")
+    grid = single_beam_grid(cfg)
+    snaps, _ = evolve(sample_gaussian_field(cfg.state, grid), grid, cfg.state, cfg.params,
+                      cfg.snapshot_times)
+    rows = _homothety_reference(cfg, trace_flux_lines(snaps, grid, cfg.quantiles))
+    write_table(tmp_path / "reference.txt",
+                ["quantile", "t", "x_expected", "x_actual", "rel_dev"], rows)
+    assert (out / "homothety.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    expected_worst = max(rows[4]) if rows[4] else 0.0
+    assert cli._point_metric("trajectories", cfg, out) == expected_worst
+    if cfg.quantiles == (0.5,):
+        assert rows[4] == []
+
+
+def test_convergence_table_matches_per_level_reference(tmp_path):
+    text = BASE.replace("dx = 0.1", "dx = 0.2").replace("sigma0 = 1.0\n",
+                                                        "sigma0 = 1.0\ncenter = 0.3\n")
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--refinements", "2", "--quiet"]) == 0
+    cfg = load_config(tmp_path / "run.cfg")
+    sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
+    levels, dxs, dts, errors = [0, 1, 2], [], [], []
+    for level in levels:
+        dx, dt = cfg.dx / 2**level, cfg.dt / 4**level
+        grid = grid_spanning(cfg.state.center, cfg.safety_span * sigma_end, dx, dt=dt,
+                             t_final=cfg.t_final, nx_cap=cfg.nx_cap)
+        snaps, _ = evolve(sample_gaussian_field(cfg.state, grid), grid, cfg.state,
+                          cfg.params, [cfg.t_final])
+        exact = gaussian_pdf(grid.x, cfg.state.center, sigma_end)
+        dxs.append(dx)
+        dts.append(dt)
+        errors.append(float(np.max(np.abs(snaps[-1].values - exact))))
+    write_table(tmp_path / "reference.txt", ["level", "dx", "dt", "linf_error"],
+                [levels, dxs, dts, errors])
+    assert (out / "convergence.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()

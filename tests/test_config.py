@@ -211,3 +211,10 @@ def test_double_slit_grid_covers_drifted_beams(velocities):
             reach = 10.0 * analytic_sigma(t, 1.0, 0.5)
             assert grid.x_min <= x0 + v * t - reach + 1e-9
             assert grid.x_max >= x0 + v * t + reach - 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_final=st.floats(0.0, 1e300))
+def test_default_snapshot_times_are_quarters_of_t_final(t_final):
+    cfg = _built(grid={"dt": 0.1, "t_final": t_final})
+    assert cfg.snapshot_times == tuple(sorted({t_final * i / 4 for i in range(5)}))

@@ -21,6 +21,7 @@ from balldiff import (
     required_half_width,
     simulate_double_slit,
 )
+from balldiff.core import MIN_SAFETY_SPAN
 
 
 def _slits(separation=6.0, dvx=2.0, sigma0=1.0):
@@ -105,6 +106,17 @@ def test_beams_escaping_domain_detected(params):
     narrow = grid_spanning(0.0, 3.0, 0.1, dt=0.05, t_final=1.0)
     with pytest.raises(DomainTooSmallError):
         simulate_double_slit(slits, narrow, params, [0.0, 1.0])
+
+
+def test_domain_check_margin_is_the_safety_span_floor(params):
+    # a grid sized with the smallest safety_span a config accepts passes the check
+    slits = _slits(separation=4.0, dvx=1.0)
+    need = required_half_width(slits, params, 1.0, MIN_SAFETY_SPAN)
+    fits = grid_spanning(0.0, need, 0.05, dt=0.05, t_final=1.0)
+    simulate_double_slit(slits, fits, params, [0.0, 1.0])
+    short = grid_spanning(0.0, 0.98 * need, 0.05, dt=0.05, t_final=1.0)
+    with pytest.raises(DomainTooSmallError, match="needs"):
+        simulate_double_slit(slits, short, params, [0.0, 1.0])
 
 
 def test_detect_fringe_maxima_on_synthetic_pattern():
