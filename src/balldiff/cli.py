@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .core import grid_spanning  # noqa: F401  (unused: kept bound for perfbench
 from .errors import BalldiffError, ConfigError, ValidationError
 from .interference import detect_fringe_maxima, fringe_spacing, simulate_double_slit
 from .stepper import evolve, sample_gaussian_field, second_moment_sigma
-from .tables import read_table, write_table
+from .tables import FormattedColumn, read_table, write_table
 from .trajectories import trace_flux_lines
 
 #: Acceptable observed convergence order for the second-order stencil.
@@ -75,11 +76,12 @@ def run_spread(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int:
         ["t", "sigma_simulated", "sigma_analytic", "rel_error"],
         [times, sigma_sim, sigma_ref, rel_error],
     )
+    x_col = FormattedColumn(grid.x)  # every snapshot shares the x axis
     for i, snap in enumerate(snaps):
         write_table(
             out_dir / f"field_{i:03d}.txt",
             ["t", "x", "p"],
-            [np.full(grid.nx, snap.time), grid.x, snap.values],
+            [np.full(grid.nx, snap.time), x_col, snap.values],
         )
     write_table(
         out_dir / "stepper_report.txt",
@@ -108,6 +110,7 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
     imap = simulate_double_slit(cfg.slits, grid, cfg.params, cfg.snapshot_times)
 
     total_name = "p_total_normalized" if cfg.normalize_total else "p_total"
+    x_col = FormattedColumn(grid.x)  # every snapshot shares the x axis
     for i, t in enumerate(imap.times):
         total = imap.p_total[i]
         if cfg.normalize_total:
@@ -115,7 +118,7 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
         write_table(
             out_dir / f"intensity_{i:03d}.txt",
             ["t", "x", "p1", "p2", total_name],
-            [np.full(grid.nx, t), grid.x, imap.p1[i], imap.p2[i], total],
+            [np.full(grid.nx, t), x_col, imap.p1[i], imap.p2[i], total],
         )
 
     dvx = cfg.slits.dvx
@@ -290,16 +293,27 @@ def _format_override(kind: str, dotted: str, value: float, origin: str) -> str:
 
 
 def _run_sweep_point(args) -> tuple[int, int, float, str | None]:
-    """One sweep point in a worker process; a BalldiffError becomes its message."""
+    """One sweep point in a worker process.
+
+    A point that raises fails with its reason in ``point_NNN/error.txt``: the
+    message of a BalldiffError, or the traceback of any other exception.
+    """
     index, raw_point, origin, command, point_dir = args
     runner, _ = _SWEEP_COMMANDS[command]
+    point_dir = Path(point_dir)
     try:
         cfg = build_config(raw_point, f"{origin} (point {index})")
-        status = runner(cfg, Path(point_dir), quiet=True)
-        metric = _point_metric(command, cfg, Path(point_dir))
+        status = runner(cfg, point_dir, quiet=True)
+        return index, status, _point_metric(command, cfg, point_dir), None
     except BalldiffError as exc:
-        return index, 1, float("nan"), str(exc)
-    return index, status, metric, None
+        error = str(exc)
+        detail = error + "\n"
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc} (traceback in {point_dir / 'error.txt'})"
+        detail = traceback.format_exc()
+    point_dir.mkdir(parents=True, exist_ok=True)
+    (point_dir / "error.txt").write_text(detail)
+    return index, 1, float("nan"), error
 
 
 def _point_metric(command: str, cfg: RunConfig, point_dir: Path) -> float:

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .core import (
     DEFAULT_NX_CAP,
@@ -49,6 +52,9 @@ SCHEMA: dict[str, dict[str, str]] = {
     },
     "sweep": {},  # validated separately: command plus dotted config keys
 }
+
+#: ``sigma0**2`` divides the spreading law, so it must neither overflow nor underflow.
+_SIGMA0_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -140,6 +146,11 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
 
     params = make_physical_params(val("physical", "hbar", 1.0), val("physical", "mass", 1.0))
     state = GaussianState(sigma0=val("packet", "sigma0", 1.0), center=val("packet", "center", 0.0))
+    lo, hi = _SIGMA0_RANGE
+    if not (lo <= state.sigma0 <= hi):
+        raise ConfigError(
+            f"{origin}: [packet] sigma0 must lie in [{lo:.3g}, {hi:.3g}], got {state.sigma0!r}"
+        )
 
     dt = val("grid", "dt")
     t_final = val("grid", "t_final")
@@ -223,15 +234,25 @@ def load_config(path) -> RunConfig:
 
 def single_beam_grid(cfg: RunConfig) -> Grid1D:
     """Grid for a single-packet run, sized from the final spread."""
-    half = cfg.safety_span * analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
-    return grid_spanning(
-        cfg.state.center, half, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap
-    )
+    with np.errstate(over="ignore"):  # an infinite width is refused by _grid_around
+        sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
+    return _grid_around(cfg, cfg.state.center, cfg.safety_span * sigma_end)
 
 
 def double_slit_grid(cfg: RunConfig) -> Grid1D:
     """Grid for a two-slit run, covering both drifted beams."""
     if cfg.slits is None:
         raise ConfigError(f"{cfg.origin}: [slits] section is required for this run")
-    need = required_half_width(cfg.slits, cfg.params, cfg.t_final, cfg.safety_span)
-    return grid_spanning(0.0, need, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap)
+    with np.errstate(over="ignore"):  # an infinite width is refused by _grid_around
+        need = required_half_width(cfg.slits, cfg.params, cfg.t_final, cfg.safety_span)
+    return _grid_around(cfg, 0.0, need)
+
+
+def _grid_around(cfg: RunConfig, center: float, half: float) -> Grid1D:
+    if not math.isfinite(half):
+        raise ConfigError(
+            f"{cfg.origin}: [grid] t_final = {cfg.t_final:g} spreads the packet beyond "
+            f"the float range (diffusivity = {cfg.params.diffusivity:g}, "
+            f"safety_span = {cfg.safety_span:g})"
+        )
+    return grid_spanning(center, half, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap)

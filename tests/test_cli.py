@@ -1,7 +1,13 @@
 """CLI runners end-to-end: files, exit codes, determinism, sweeps."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import balldiff
 import balldiff.cli as cli
 from balldiff import (
     GaussianState,
@@ -41,6 +47,23 @@ def _cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _cli_in_subprocess(tmp_path, text, command="spread"):
+    """Exit status and stderr of the CLI run in a fresh interpreter.
+
+    Numpy warnings reach stderr there as a user sees them; in-process,
+    pytest would capture them instead.
+    """
+    src = str(Path(balldiff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "balldiff.cli", command, "--config", _cfg(tmp_path, text),
+         "--out", str(tmp_path / "o"), "--quiet"],
+        capture_output=True, text=True, env=env,
+    )
+    return proc.returncode, proc.stderr
 
 
 def test_spread_writes_expected_files(tmp_path):
@@ -323,6 +346,66 @@ def test_default_snapshot_times_of_huge_t_final(tmp_path, capsys):
     assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: run would need 1e+308 macro steps")
+
+
+@pytest.mark.parametrize("sigma0, dx", [("1e200", "1e199"), ("1e-300", "1e-301")],
+                         ids=["square_overflows", "square_underflows"])
+def test_sigma0_out_of_range_reported(tmp_path, sigma0, dx):
+    text = BASE.replace("sigma0 = 1.0", f"sigma0 = {sigma0}").replace("dx = 0.1", f"dx = {dx}")
+    status, err = _cli_in_subprocess(tmp_path, text)
+    assert status == 1
+    assert err.startswith("error: ")
+    assert f"[packet] sigma0 must lie in [1.49e-154, 1.34e+154], got {float(sigma0)!r}" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("command, extra", [("spread", ""), ("doubleslit", SLITS)],
+                         ids=["spread", "doubleslit"])
+def test_overflowing_spread_of_huge_t_final_names_the_key(tmp_path, command, extra):
+    text = BASE.replace("t_final = 1.0", "t_final = 1e308") + extra
+    status, err = _cli_in_subprocess(tmp_path, text, command)
+    assert status == 1
+    assert err.startswith("error: ")
+    assert "[grid] t_final = 1e+308 spreads the packet beyond the float range" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
+def test_sweep_failed_point_writes_its_reason(tmp_path):
+    text = BASE.replace("dx = 0.1\n", "") + (
+        "\n[sweep]\ncommand = spread\ngrid.points_per_sigma0 = 3, 16\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 1
+    reason = (out / "point_000" / "error.txt").read_text()
+    assert reason.endswith("points_per_sigma0 must be >= 8, got 3\n")
+    assert not (out / "point_001" / "error.txt").exists()
+    assert (out / "point_001" / "sigma_timeseries.txt").exists()
+
+
+def test_sweep_point_unexpected_exception_keeps_traceback(tmp_path, monkeypatch, capsys):
+    def broken_runner(cfg, out_dir, *, quiet=False):
+        raise RuntimeError("runner broke")
+
+    monkeypatch.setitem(cli._SWEEP_COMMANDS, "spread", (broken_runner, "max_sigma_rel_error"))
+    text = BASE + "\n[sweep]\ncommand = spread\ngrid.t_final = 0.5, 1.0\n"
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 1
+    for index in (0, 1):
+        saved = (out / f"point_{index:03d}" / "error.txt").read_text()
+        assert saved.startswith("Traceback (most recent call last):")
+        assert saved.endswith("RuntimeError: runner broke\n")
+    _, rows = read_table(out / "manifest.txt")
+    assert list(rows[:, 2]) == [1.0, 1.0]
+    assert np.isnan(rows[:, 3]).all()
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: point 000: RuntimeError: runner broke (traceback in ")
+    assert err[-1] == "error: 2 of 2 sweep points failed"
+
+
+def test_sweep_without_failures_writes_no_error_file(tmp_path):
+    text = BASE + "\n[sweep]\ncommand = spread\ngrid.t_final = 0.5, 1.0\n"
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    assert not list(out.rglob("error.txt"))
 
 
 def test_sweep_workers_capped_at_point_count(tmp_path, monkeypatch):
