@@ -7,13 +7,12 @@ in-config tolerance check fails, so a failed run can still be inspected.
 """
 from __future__ import annotations
 
-import argparse
+# argparse, traceback and the sweep's process pool are imported where they are
+# used, so that importing this module does not pay for them.
 import dataclasses
 import itertools
 import math
 import sys
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +308,8 @@ def _run_sweep_point(args) -> tuple[int, int, float, str | None]:
         error = str(exc)
         detail = error + "\n"
     except Exception as exc:
+        import traceback
+
         error = f"{type(exc).__name__}: {exc} (traceback in {point_dir / 'error.txt'})"
         detail = traceback.format_exc()
     point_dir.mkdir(parents=True, exist_ok=True)
@@ -366,6 +367,8 @@ def run_sweep(
 
     workers = min(workers, len(jobs))  # a fork-based pool starts all its workers at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_sweep_point, jobs))
     else:
@@ -400,7 +403,9 @@ def run_sweep(
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="balldiff",
         description="Ballistic diffusion: packet spreading, interference, flux lines.",

@@ -53,6 +53,10 @@ SCHEMA: dict[str, dict[str, str]] = {
     "sweep": {},  # validated separately: command plus dotted config keys
 }
 
+#: Largest float spacing, in cells, at the outer nodes of a single-beam grid: every
+#: node then rounds by under a thousandth of a cell, far inside the run's tolerances.
+_FLOAT_SPACING_MAX = 2.0**-10
+
 #: ``sigma0**2`` divides the spreading law, so it must neither overflow nor underflow.
 _SIGMA0_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
@@ -145,6 +149,11 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
         return _parse(SCHEMA[section][key], text, f"{origin}: [{section}] {key}")
 
     params = make_physical_params(val("physical", "hbar", 1.0), val("physical", "mass", 1.0))
+    if not (0.0 < params.diffusivity < math.inf):
+        raise ConfigError(
+            f"{origin}: [physical] hbar / (2 * mass) must be positive and finite, got "
+            f"{params.diffusivity!r} from hbar = {params.hbar!r}, mass = {params.mass!r}"
+        )
     state = GaussianState(sigma0=val("packet", "sigma0", 1.0), center=val("packet", "center", 0.0))
     lo, hi = _SIGMA0_RANGE
     if not (lo <= state.sigma0 <= hi):
@@ -236,7 +245,16 @@ def single_beam_grid(cfg: RunConfig) -> Grid1D:
     """Grid for a single-packet run, sized from the final spread."""
     with np.errstate(over="ignore"):  # an infinite width is refused by _grid_around
         sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
-    return _grid_around(cfg, cfg.state.center, cfg.safety_span * sigma_end)
+    grid = _grid_around(cfg, cfg.state.center, cfg.safety_span * sigma_end)
+    # far from 0 the float spacing can reach dx, and no domain width resolves the packet there
+    spacing = math.ulp(max(abs(grid.x_min), abs(grid.x_max)))
+    if spacing > cfg.dx * _FLOAT_SPACING_MAX:
+        raise ConfigError(
+            f"{cfg.origin}: [packet] center = {cfg.state.center:g} lies too far from 0 "
+            f"for [grid] dx = {cfg.dx:g}: floats there are {spacing:.3g} apart; "
+            "move the center toward 0 or raise dx"
+        )
+    return grid
 
 
 def double_slit_grid(cfg: RunConfig) -> Grid1D:

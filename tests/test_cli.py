@@ -1,11 +1,18 @@
 """CLI runners end-to-end: files, exit codes, determinism, sweeps."""
+import concurrent.futures
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import balldiff
 import balldiff.cli as cli
@@ -49,20 +56,22 @@ def _cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _fresh_interpreter(*args):
+    """Run ``python *args`` in a fresh interpreter that imports balldiff from its source tree."""
+    src = str(Path(balldiff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def _cli_in_subprocess(tmp_path, text, command="spread"):
     """Exit status and stderr of the CLI run in a fresh interpreter.
 
     Numpy warnings reach stderr there as a user sees them; in-process,
     pytest would capture them instead.
     """
-    src = str(Path(balldiff.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "balldiff.cli", command, "--config", _cfg(tmp_path, text),
-         "--out", str(tmp_path / "o"), "--quiet"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _fresh_interpreter("-m", "balldiff.cli", command, "--config", _cfg(tmp_path, text),
+                              "--out", str(tmp_path / "o"), "--quiet")
     return proc.returncode, proc.stderr
 
 
@@ -370,6 +379,70 @@ def test_overflowing_spread_of_huge_t_final_names_the_key(tmp_path, command, ext
     assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("hbar, mass", [("1e308", "1e-308"), ("1e-308", "1e308")],
+                         ids=["overflows", "underflows"])
+def test_diffusivity_out_of_range_names_hbar_and_mass(tmp_path, capsys, hbar, mass):
+    text = BASE.replace("hbar = 1.0", f"hbar = {hbar}").replace("mass = 1.0", f"mass = {mass}")
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "[physical] hbar / (2 * mass) must be positive and finite" in err
+    assert f"hbar = {float(hbar)!r}, mass = {float(mass)!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spread", "trajectories", "convergence"])
+@pytest.mark.parametrize("center", ["1e308", "-1e12"])
+def test_unresolvable_center_names_center_and_dx(tmp_path, capsys, command, center):
+    text = BASE.replace("sigma0 = 1.0\n", f"sigma0 = 1.0\ncenter = {center}\n")
+    assert main([command, "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'run.cfg'}: [packet] center = {float(center):g} "
+                          "lies too far from 0 for [grid] dx = 0.1: floats there are ")
+    assert "Traceback" not in err
+
+
+def test_far_center_that_nodes_resolve_still_runs(tmp_path):
+    text = BASE.replace("sigma0 = 1.0\n", "sigma0 = 1.0\ncenter = -1e11\n")
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+
+
+_EXTREMES = [0.0, 5e-324, 1e-308, 1e-300, 1e-154, 1e154, 1e300, 1e308, 1.7976931348623157e308]
+# any finite float, the float range's edges of either sign, and magnitudes a run can take
+_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from(_EXTREMES + [-v for v in _EXTREMES])
+           | st.floats(min_value=1e-3, max_value=1e3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hbar=_FINITE, mass=_FINITE, sigma0=_FINITE, center=_FINITE)
+def test_spread_of_any_physical_and_packet_values_exits_cleanly(hbar, mass, sigma0, center):
+    text = (f"[physical]\nhbar = {hbar!r}\nmass = {mass!r}\n"
+            f"[packet]\nsigma0 = {sigma0!r}\ncenter = {center!r}\n"
+            "[grid]\ndx = 0.1\ndt = 0.05\nt_final = 1.0\nnx_cap = 1001\n"
+            "[output]\nsnapshot_times = 0, 1\n")
+    # in-process, warnings are recorded here, not printed: add them to what stderr shows
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        status = main(["spread", "--config", _cfg(Path(tmp), text), "--out",
+                       str(Path(tmp) / "o"), "--quiet"])
+    stderr = err.getvalue() + "".join(
+        f"{w.category.__name__}: {w.message}\n" for w in caught)
+    assert status in (0, 1), stderr
+    assert "Traceback" not in stderr and "RuntimeWarning" not in stderr, stderr
+
+
+def test_import_leaves_pool_argparse_and_traceback_unloaded():
+    proc = _fresh_interpreter("-c", (
+        "import sys, balldiff.cli; "
+        "print(*[m for m in ('concurrent.futures', 'multiprocessing', 'argparse', 'traceback') "
+        "if m in sys.modules])"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 def test_sweep_failed_point_writes_its_reason(tmp_path):
     text = BASE.replace("dx = 0.1\n", "") + (
         "\n[sweep]\ncommand = spread\ngrid.points_per_sigma0 = 3, 16\n")
@@ -426,7 +499,7 @@ def test_sweep_workers_capped_at_point_count(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     text = BASE + "\n[sweep]\ncommand = spread\ngrid.t_final = 0.5, 1.0\n"
     assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
                  "--quiet", "--workers", "10000"]) == 0
