@@ -12,13 +12,7 @@ The finite-difference kernel has a compiled extension and a pure-Python
 fallback that produce bit-identical results; see `kernel_backend()`.
 """
 from ._kernel import KERNEL_BACKEND
-from .analytic import (
-    analytic_flux_line,
-    analytic_sigma,
-    diffusion_coefficient,
-    gaussian_pdf,
-    normal_quantile,
-)
+from .analytic import analytic_sigma, diffusion_coefficient, gaussian_pdf
 from .core import (
     Field,
     GaussianState,
@@ -75,7 +69,6 @@ __all__ = [
     "StepperReport",
     "TrajectorySet",
     "ValidationError",
-    "analytic_flux_line",
     "analytic_sigma",
     "compose_intensity",
     "cumulative",
@@ -88,7 +81,6 @@ __all__ = [
     "invert_cdf",
     "kernel_backend",
     "make_physical_params",
-    "normal_quantile",
     "phase",
     "required_half_width",
     "sample_gaussian_field",

@@ -1,16 +1,13 @@
 """Stencil backend selection.
 
-The compiled extension is preferred when built; otherwise the numpy
-implementation takes over transparently. Set BALLDIFF_KERNEL=python or
-=compiled to force a backend (the latter fails loudly if unavailable).
+The compiled extension is used when built; otherwise the numpy
+implementation takes over transparently.
 """
-import os
-
 from . import _stencil_py
 
 
 def select_kernel(name: str = "auto"):
-    """Return (module, backend_name) for the requested backend."""
+    """Return (module, backend_name); "auto" falls back to numpy, "compiled" raises."""
     if name not in ("auto", "python", "compiled"):
         raise ValueError(f"unknown kernel backend {name!r}")
     if name == "python":
@@ -20,12 +17,11 @@ def select_kernel(name: str = "auto"):
     except ImportError:
         if name == "compiled":
             raise ImportError(
-                "BALLDIFF_KERNEL=compiled but the extension is not built; "
-                "reinstall with a C toolchain or drop the override"
+                "the compiled kernel is not built; build it with a C toolchain"
             ) from None
         return _stencil_py, "python"
     return _stencil, "compiled"
 
 
-_impl, KERNEL_BACKEND = select_kernel(os.environ.get("BALLDIFF_KERNEL", "auto"))
+_impl, KERNEL_BACKEND = select_kernel()
 apply_passes = _impl.apply_passes

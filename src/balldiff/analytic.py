@@ -1,8 +1,8 @@
 """Closed-form reference solutions the numerical stepper is checked against.
 
 Everything here is a pure function of its arguments: the Gaussian density,
-its spreading law, the induced time-dependent diffusion coefficient, and
-the analytic flux lines of a spreading packet.
+its spreading law, and the induced time-dependent diffusion coefficient. The
+q-quantile flux line of a spreading packet is ``center + z_q * sigma(t)``.
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from .core import GaussianState
 from .errors import ValidationError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -58,22 +57,3 @@ def diffusion_coefficient(t, sigma0: float, diffusivity: float):
     out = diffusivity**2 * t_arr / sigma0**2
     return float(out) if np.isscalar(t) else out
 
-
-def normal_quantile(q: float) -> float:
-    """Standard-normal quantile, Wichura's AS241 via ``statistics.NormalDist``."""
-    if not (0.0 < q < 1.0):
-        raise ValidationError(f"quantile must be in (0, 1), got {q!r}")
-    # imported here: statistics pulls in decimal and fractions, which no run needs
-    from statistics import NormalDist
-
-    return NormalDist().inv_cdf(q)
-
-
-def analytic_flux_line(q: float, t: float, state: GaussianState, diffusivity: float) -> float:
-    """Position of the q-quantile of the spreading packet at time t.
-
-    Equal to center + z_q * sigma(t); relative to the center every
-    quantile path is a homothety with ratio sigma(t) / sigma0.
-    """
-    z = normal_quantile(q)
-    return state.center + z * analytic_sigma(t, state.sigma0, diffusivity)

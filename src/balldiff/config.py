@@ -26,7 +26,7 @@ from .core import (
 )
 from .errors import ConfigError
 from .analytic import analytic_sigma
-from .interference import required_half_width
+from .interference import fringe_spacing, required_half_width
 
 # section -> key -> type tag ("float", "int", "bool", "floats", "str")
 SCHEMA: dict[str, dict[str, str]] = {
@@ -263,7 +263,21 @@ def double_slit_grid(cfg: RunConfig) -> Grid1D:
         raise ConfigError(f"{cfg.origin}: [slits] section is required for this run")
     with np.errstate(over="ignore"):  # an infinite width is refused by _grid_around
         need = required_half_width(cfg.slits, cfg.params, cfg.t_final, cfg.safety_span)
-    return _grid_around(cfg, 0.0, need)
+    grid = _grid_around(cfg, 0.0, need)
+    dvx, params = cfg.slits.dvx, cfg.params
+    if dvx == 0.0:
+        return grid
+    k = params.mass * abs(dvx)  # the phase is +-k * x / hbar
+    spacing = fringe_spacing(params, dvx) if k > 0.0 else math.inf
+    edge = max(-grid.x_min, grid.x_max)
+    if not (2.0 * cfg.dx <= spacing < math.inf and math.isfinite(k * edge)):
+        raise ConfigError(
+            f"{cfg.origin}: [slits] dvx = {dvx:g} with [physical] hbar = {params.hbar:g}, "
+            f"mass = {params.mass:g} and [grid] dx = {cfg.dx:g}: the phase mass * dvx * x / hbar "
+            f"must be finite out to x = {edge:g}, and its fringe spacing 2 pi hbar / (mass |dvx|) "
+            f"= {spacing:.3g} finite and at least 2 * dx"
+        )
+    return grid
 
 
 def _grid_around(cfg: RunConfig, center: float, half: float) -> Grid1D:

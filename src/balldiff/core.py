@@ -1,8 +1,10 @@
-"""Domain types and validated constructors shared by every module.
+"""Domain types shared by every module.
 
-All types are immutable after construction and safe to share between
-threads. Arrays held by :class:`Field` and :class:`TrajectorySet` are
-marked read-only.
+Types that take caller input (parameters, packets, grids, fields, slits)
+validate it on construction. :class:`TrajectorySet` is a plain record of
+one producer's output. All types are immutable after construction and safe
+to share between threads; the arrays held by :class:`Field` and
+:class:`TrajectorySet` are read-only.
 """
 from __future__ import annotations
 
@@ -161,32 +163,13 @@ class TrajectorySet:
     """Flux lines: per-quantile positions over a shared time axis.
 
     ``paths[i, k]`` is the position of quantile ``quantiles[i]`` at
-    ``times[k]``. Construction rejects crossing paths.
+    ``times[k]``. Built only by :func:`~balldiff.trajectories.trace_flux_lines`,
+    whose quantile inversion is monotone, so the paths never cross.
     """
 
     quantiles: np.ndarray
     times: np.ndarray
     paths: np.ndarray
-
-    def __post_init__(self):
-        q = np.array(self.quantiles, dtype=np.float64)
-        t = np.array(self.times, dtype=np.float64)
-        p = np.array(self.paths, dtype=np.float64)
-        if q.ndim != 1 or q.size < 1:
-            raise ValidationError("quantiles must be a non-empty 1-d array")
-        if np.any(q <= 0.0) or np.any(q >= 1.0):
-            raise ValidationError("quantiles must lie strictly inside (0, 1)")
-        if np.any(np.diff(q) <= 0.0):
-            raise ValidationError("quantiles must be strictly increasing")
-        if p.shape != (q.size, t.size):
-            raise ValidationError(
-                f"paths shape {p.shape} does not match (n_quantiles, n_times) = {(q.size, t.size)}"
-            )
-        if q.size > 1 and np.any(np.diff(p, axis=0) < 0.0):
-            raise ValidationError("flux lines cross: positions are not ordered by quantile")
-        object.__setattr__(self, "quantiles", _readonly(q))
-        object.__setattr__(self, "times", _readonly(t))
-        object.__setattr__(self, "paths", _readonly(p))
 
 
 def grid_spanning(

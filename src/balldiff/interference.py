@@ -24,33 +24,16 @@ _ENVELOPE_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class IntensityMap:
-    """Per-snapshot beam densities and their composed total intensity."""
+    """Per-snapshot beam densities and their composed total intensity.
+
+    Built only by :func:`simulate_double_slit`, with read-only arrays.
+    """
 
     times: np.ndarray
     x_axis: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
     p_total: np.ndarray
-
-    def __post_init__(self):
-        t = np.array(self.times, dtype=np.float64)
-        x = np.array(self.x_axis, dtype=np.float64)
-        shape = (t.size, x.size)
-        arrays = {}
-        for name in ("p1", "p2", "p_total"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            if a.shape != shape:
-                raise ValidationError(f"{name} has shape {a.shape}, expected {shape}")
-            if np.any(a < 0.0):
-                raise ValidationError(f"{name} contains negative intensities")
-            a.setflags(write=False)
-            arrays[name] = a
-        t.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "x_axis", x)
-        for name, a in arrays.items():
-            object.__setattr__(self, name, a)
 
 
 def phase(x, dvx: float, params: PhysicalParams):
@@ -129,8 +112,10 @@ def simulate_double_slit(
 
     phi = phase(grid.x, slits.dvx, params)
     p_total = np.stack([compose_intensity(r1, r2, phi) for r1, r2 in zip(*beams)])
-    return IntensityMap(times=[s.time for s in snaps], x_axis=grid.x,
-                        p1=beams[0], p2=beams[1], p_total=p_total)
+    times = np.array([s.time for s in snaps])
+    for a in (times, *beams, p_total):
+        a.setflags(write=False)
+    return IntensityMap(times=times, x_axis=grid.x, p1=beams[0], p2=beams[1], p_total=p_total)
 
 
 def required_half_width(

@@ -57,7 +57,7 @@ def invert_cdf(cdf: np.ndarray, grid: Grid1D, q: float) -> float:
 
 def trace_flux_lines(snapshots, grid: Grid1D, quantiles) -> TrajectorySet:
     """Quantile paths through a time-ordered series of density snapshots."""
-    q = np.asarray(quantiles, dtype=np.float64)
+    q = np.array(quantiles, dtype=np.float64)  # a copy: the set marks it read-only
     if q.ndim != 1 or q.size == 0:
         raise ValidationError("quantiles must be a non-empty 1-d sequence")
     if np.any(np.diff(q) <= 0.0):
@@ -73,6 +73,8 @@ def trace_flux_lines(snapshots, grid: Grid1D, quantiles) -> TrajectorySet:
         c = cumulative(snap, grid)
         for i, qi in enumerate(q):
             paths[i, k] = invert_cdf(c, grid, qi)
+    for a in (q, times, paths):
+        a.setflags(write=False)
     return TrajectorySet(quantiles=q, times=times, paths=paths)
 
 

@@ -8,6 +8,7 @@ homothety, the velocity asymptote, and byte-level determinism.
 """
 import time
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from balldiff import (
     fringe_spacing,
     grid_spanning,
     make_physical_params,
-    normal_quantile,
     required_half_width,
     sample_gaussian_field,
     second_moment_sigma,
@@ -278,7 +278,7 @@ def test_7_velocity_asymptote():
             worst = float(np.max(np.abs(velocities[i])))
             _check(failures, worst <= 0.02 * d, f"median speed {worst:.3e}")
             continue
-        target = normal_quantile(q) * d / state.sigma0
+        target = NormalDist().inv_cdf(q) * d / state.sigma0
         dev = float(np.max(np.abs(velocities[i] / target - 1.0)))
         _check(failures, dev <= 0.02, f"q={q:g}: velocity off by {dev:.3e}")
     _check(failures, elapsed < 10.0, f"took {elapsed:.1f} s, budget 10 s")

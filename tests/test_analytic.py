@@ -1,21 +1,10 @@
-"""Closed-form oracles: density, spreading law, diffusion coefficient, quantiles."""
+"""Closed-form oracles: density, spreading law, diffusion coefficient."""
 import math
 
 import numpy as np
 import pytest
 
-from balldiff import (
-    GaussianState,
-    ValidationError,
-    analytic_flux_line,
-    analytic_sigma,
-    diffusion_coefficient,
-    gaussian_pdf,
-    normal_quantile,
-)
-
-# Phi(1), the standard normal CDF at z = 1
-PHI_1 = 0.8413447460685429
+from balldiff import ValidationError, analytic_sigma, diffusion_coefficient, gaussian_pdf
 
 
 def test_gaussian_pdf_peak_and_point_values():
@@ -84,58 +73,3 @@ def test_spreading_law_consistency():
             analytic_sigma(t + h, 1.0, 0.5) ** 2 - analytic_sigma(t - h, 1.0, 0.5) ** 2
         ) / (2 * h)
         assert d_var == pytest.approx(2.0 * diffusion_coefficient(t, 1.0, 0.5), rel=1e-6)
-
-
-def test_normal_quantile_median_and_known_points():
-    assert abs(normal_quantile(0.5)) <= 1e-12
-    assert normal_quantile(PHI_1) == pytest.approx(1.0, abs=1e-11)
-    assert normal_quantile(0.9) == pytest.approx(1.2815515655446004, abs=1e-11)
-    assert normal_quantile(0.75) == pytest.approx(0.6744897501960817, abs=1e-11)
-
-
-def test_normal_quantile_antisymmetric():
-    for q in (0.1, 0.25, 0.4):
-        assert normal_quantile(q) + normal_quantile(1.0 - q) == pytest.approx(0.0, abs=1e-11)
-
-
-def test_normal_quantile_range():
-    with pytest.raises(ValidationError):
-        normal_quantile(0.0)
-    with pytest.raises(ValidationError):
-        normal_quantile(1.0)
-
-
-def test_normal_quantile_against_scipy():
-    ndtri = pytest.importorskip("scipy.special").ndtri
-    for q in (1e-12, 1e-10, 1e-8, 0.01, 0.1, 0.3, 0.5, 0.8413447460685429, 0.99,
-              1.0 - 1e-10):
-        assert normal_quantile(q) == pytest.approx(float(ndtri(q)), abs=1e-10)
-
-
-def test_flux_line_median_is_center():
-    state = GaussianState(sigma0=1.0, center=2.0)
-    for t in (0.0, 1.0, 10.0):
-        assert analytic_flux_line(0.5, t, state, 0.5) == pytest.approx(2.0, abs=1e-11)
-
-
-def test_flux_line_at_phi_of_one():
-    state = GaussianState(sigma0=1.0, center=0.0)
-    assert analytic_flux_line(PHI_1, 0.0, state, 1.0) == pytest.approx(1.0, abs=1e-10)
-    assert analytic_flux_line(PHI_1, 1.0, state, 1.0) == pytest.approx(
-        math.sqrt(2.0), abs=1e-10
-    )
-
-
-def test_flux_line_homothety():
-    state = GaussianState(sigma0=1.0, center=0.0)
-    for q in (0.2, 0.8413447460685429):
-        x0 = analytic_flux_line(q, 0.0, state, 0.5)
-        x2 = analytic_flux_line(q, 2.0, state, 0.5)
-        assert x2 / x0 == pytest.approx(analytic_sigma(2.0, 1.0, 0.5), rel=1e-10)
-
-
-def test_flux_line_increasing_in_quantile():
-    state = GaussianState(sigma0=1.0, center=0.0)
-    qs = np.linspace(0.05, 0.95, 19)
-    xs = [analytic_flux_line(q, 3.0, state, 0.5) for q in qs]
-    assert np.all(np.diff(xs) > 0.0)

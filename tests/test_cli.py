@@ -408,6 +408,25 @@ def test_far_center_that_nodes_resolve_still_runs(tmp_path):
                  "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("hbar, mass, dvx, reason", [
+    ("1e-308", "625.6", "2", "12.1, and its fringe spacing 2 pi hbar / (mass |dvx|) = 5.02e-311"),
+    ("1e307", "1e306", "20", "59, and its fringe spacing 2 pi hbar / (mass |dvx|) = 3.14"),
+], ids=["aliased_fringes", "overflowing_phase"])
+def test_doubleslit_phase_the_grid_cannot_hold_names_the_keys(tmp_path, capsys, hbar, mass,
+                                                               dvx, reason):
+    text = (BASE.replace("hbar = 1.0", f"hbar = {hbar}").replace("mass = 1.0", f"mass = {mass}")
+            .replace("sigma0 = 1.0", "sigma0 = 1.001")
+            + f"\n[slits]\nseparation = 4\ndvx = {dvx}\n")
+    assert main(["doubleslit", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'run.cfg'}: [slits] dvx = {dvx} with [physical] "
+                          f"hbar = {float(hbar):g}, mass = {float(mass):g} and [grid] dx = 0.1: "
+                          "the phase mass * dvx * x / hbar must be finite out to x = ")
+    assert err.endswith(reason + " finite and at least 2 * dx\n")
+    assert "Warning" not in err and "Traceback" not in err
+
+
 _EXTREMES = [0.0, 5e-324, 1e-308, 1e-300, 1e-154, 1e154, 1e300, 1e308, 1.7976931348623157e308]
 # any finite float, the float range's edges of either sign, and magnitudes a run can take
 _FINITE = (st.floats(allow_nan=False, allow_infinity=False)
@@ -415,18 +434,21 @@ _FINITE = (st.floats(allow_nan=False, allow_infinity=False)
            | st.floats(min_value=1e-3, max_value=1e3))
 
 
+@pytest.mark.parametrize("command", ["spread", "doubleslit"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(hbar=_FINITE, mass=_FINITE, sigma0=_FINITE, center=_FINITE)
-def test_spread_of_any_physical_and_packet_values_exits_cleanly(hbar, mass, sigma0, center):
+def test_any_physical_and_packet_values_exit_cleanly(command, hbar, mass, sigma0, center):
     text = (f"[physical]\nhbar = {hbar!r}\nmass = {mass!r}\n"
             f"[packet]\nsigma0 = {sigma0!r}\ncenter = {center!r}\n"
             "[grid]\ndx = 0.1\ndt = 0.05\nt_final = 1.0\nnx_cap = 1001\n"
             "[output]\nsnapshot_times = 0, 1\n")
+    if command == "doubleslit":
+        text += "[slits]\nseparation = 4\ndvx = 2\n"
     # in-process, warnings are recorded here, not printed: add them to what stderr shows
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
-        status = main(["spread", "--config", _cfg(Path(tmp), text), "--out",
+        status = main([command, "--config", _cfg(Path(tmp), text), "--out",
                        str(Path(tmp) / "o"), "--quiet"])
     stderr = err.getvalue() + "".join(
         f"{w.category.__name__}: {w.message}\n" for w in caught)

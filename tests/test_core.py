@@ -10,7 +10,6 @@ from balldiff import (
     Grid1D,
     ResourceLimitError,
     SlitConfig,
-    TrajectorySet,
     ValidationError,
     grid_spanning,
     make_physical_params,
@@ -92,24 +91,6 @@ def test_slit_config_derives_dvx():
     assert s.dvx == 2.0
     with pytest.raises(ValidationError):
         SlitConfig(separation=0.0, sigma0=1.0, v1=0.0, v2=0.0)
-
-
-def test_trajectory_set_rejects_crossing_paths():
-    with pytest.raises(ValidationError):
-        TrajectorySet(
-            quantiles=[0.3, 0.7],
-            times=[0.0, 1.0],
-            paths=[[0.0, 1.0], [1.0, 0.5]],
-        )
-
-
-def test_trajectory_set_validates_quantiles():
-    with pytest.raises(ValidationError):
-        TrajectorySet(quantiles=[0.7, 0.3], times=[0.0], paths=[[0.0], [1.0]])
-    with pytest.raises(ValidationError):
-        TrajectorySet(quantiles=[0.0, 0.5], times=[0.0], paths=[[0.0], [1.0]])
-    with pytest.raises(ValidationError):
-        TrajectorySet(quantiles=[0.3], times=[0.0, 1.0], paths=[[0.0]])
 
 
 def test_grid_spanning_step_count_immune_to_float_noise():

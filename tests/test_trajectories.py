@@ -1,15 +1,16 @@
 """Flux lines: CDF building, quantile inversion, tracing, velocities."""
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balldiff import (
     Field,
-    GaussianState,
     Grid1D,
     ValidationError,
-    analytic_flux_line,
     analytic_sigma,
     cumulative,
     gaussian_pdf,
@@ -103,10 +104,9 @@ def test_trace_flux_lines_match_analytic_quantiles():
     snaps = [_gaussian_snapshot(t, grid) for t in (0.0, 2.0, 4.0)]
     qs = [0.1, 0.3, 0.5, 0.7, 0.9]
     traj = trace_flux_lines(snaps, grid, qs)
-    state = GaussianState(sigma0=1.0, center=0.0)
     for i, q in enumerate(qs):
         for k, t in enumerate((0.0, 2.0, 4.0)):
-            expected = analytic_flux_line(q, t, state, 0.5)
+            expected = NormalDist().inv_cdf(q) * analytic_sigma(t, 1.0, 0.5)
             assert traj.paths[i, k] == pytest.approx(expected, abs=1e-3 * analytic_sigma(t, 1.0, 0.5) + 1e-9)
 
 
@@ -126,10 +126,37 @@ def test_trace_flux_lines_never_cross():
     assert np.all(np.diff(traj.paths, axis=0) >= 0.0)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    densities=st.lists(st.lists(st.floats(0.0, 1e3), min_size=6, max_size=6)
+                       .filter(lambda v: sum(v) > 0.0), min_size=1, max_size=3),
+    quantiles=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8, unique=True),
+)
+def test_trace_flux_lines_paths_ordered_by_quantile(densities, quantiles):
+    """Any non-negative densities, zero plateaus included, give non-crossing flux lines."""
+    grid = Grid1D(x_min=-1.0, dx=0.4, nx=6, dt=0.1, n_steps=1)
+    snaps = [Field(time=float(k), values=v) for k, v in enumerate(densities)]
+    traj = trace_flux_lines(snaps, grid, sorted(quantiles))
+    assert traj.paths.shape == (len(quantiles), len(densities))
+    assert np.all(np.diff(traj.paths, axis=0) >= 0.0)
+
+
+def test_trace_flux_lines_arrays_read_only_and_caller_quantiles_untouched():
+    grid, field = _uniform_grid()
+    qs = np.array([0.25, 0.5])
+    traj = trace_flux_lines([field], grid, qs)
+    for a in (traj.quantiles, traj.times, traj.paths):
+        assert not a.flags.writeable
+    assert qs.flags.writeable and not np.shares_memory(qs, traj.quantiles)
+
+
 def test_trace_flux_lines_validates_inputs():
     grid, field = _uniform_grid()
     with pytest.raises(ValidationError):
         trace_flux_lines([field], grid, [0.7, 0.3])
+    for outside in ([0.0, 0.5], [0.5, 1.0]):
+        with pytest.raises(ValidationError):
+            trace_flux_lines([field], grid, outside)
     with pytest.raises(ValidationError):
         trace_flux_lines([], grid, [0.5])
     out_of_order = [Field(time=1.0, values=np.ones(5)), Field(time=0.0, values=np.ones(5))]
