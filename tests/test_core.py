@@ -13,6 +13,7 @@ from balldiff import (
     ValidationError,
     grid_spanning,
     make_physical_params,
+    trace_flux_lines,
 )
 from balldiff.core import MAX_STEPS
 
@@ -91,6 +92,16 @@ def test_slit_config_derives_dvx():
     assert s.dvx == 2.0
     with pytest.raises(ValidationError):
         SlitConfig(separation=0.0, sigma0=1.0, v1=0.0, v2=0.0)
+
+
+def test_trajectory_set_validates_quantiles():
+    """trace_flux_lines, the only TrajectorySet producer, refuses quantiles
+    that are not a non-empty, increasing 1-d sequence inside (0, 1)."""
+    grid = Grid1D(x_min=0.0, dx=0.25, nx=5, dt=0.1, n_steps=1)
+    field = Field(time=0.0, values=np.ones(5))
+    for bad in ([0.7, 0.3], [0.5, 0.5], [0.0, 0.5], [0.5, 1.0], [], [[0.3, 0.7]]):
+        with pytest.raises(ValidationError):
+            trace_flux_lines([field], grid, bad)
 
 
 def test_grid_spanning_step_count_immune_to_float_noise():

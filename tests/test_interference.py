@@ -148,15 +148,27 @@ def test_fringe_spacing_values(params):
         fringe_spacing(params, 0.0)
 
 
+def test_intensity_map_validates_shapes(params):
+    """simulate_double_slit, the only IntensityMap producer, gives matching
+    shapes, non-negative intensities and read-only arrays."""
+    slits = _slits(separation=3.0, dvx=1.0)
+    grid = _grid(slits, params, 0.5, 10, dt=0.05)
+    imap = simulate_double_slit(slits, grid, params, [0.0, 0.25, 0.5])
+    assert imap.times.shape == (3,)
+    assert imap.x_axis.shape == (grid.nx,)
+    for a in (imap.p1, imap.p2, imap.p_total):
+        assert a.shape == (3, grid.nx)
+        assert np.all(a >= 0.0)
+    for a in (imap.times, imap.x_axis, imap.p1, imap.p2, imap.p_total):
+        assert not a.flags.writeable
+
+
 def test_simulate_keeps_both_beam_densities(params):
     slits = _slits(separation=3.0, dvx=1.0)
     grid = _grid(slits, params, 0.5, 10, dt=0.05)
     imap = simulate_double_slit(slits, grid, params, [0.0, 0.5])
-    for a in (imap.p1, imap.p2, imap.p_total):
-        assert a.shape == (2, grid.nx)
-        assert np.all(a >= 0.0)
-    for a in (imap.times, imap.x_axis, imap.p1, imap.p2, imap.p_total):
-        assert not a.flags.writeable
+    assert imap.p1.shape == (2, grid.nx)
+    assert imap.p2.shape == (2, grid.nx)
     # beams start centered on the slit positions
     i1 = int(np.argmax(imap.p1[0]))
     i2 = int(np.argmax(imap.p2[0]))
