@@ -60,6 +60,9 @@ _FLOAT_SPACING_MAX = 2.0**-10
 #: ``sigma0**2`` divides the spreading law, so it must neither overflow nor underflow.
 _SIGMA0_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
+#: The diffusion coefficient squares the diffusivity, so it must not overflow.
+_DIFFUSIVITY_MAX = math.sqrt(sys.float_info.max)
+
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -149,9 +152,10 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
         return _parse(SCHEMA[section][key], text, f"{origin}: [{section}] {key}")
 
     params = make_physical_params(val("physical", "hbar", 1.0), val("physical", "mass", 1.0))
-    if not (0.0 < params.diffusivity < math.inf):
+    if not (0.0 < params.diffusivity <= _DIFFUSIVITY_MAX):
         raise ConfigError(
-            f"{origin}: [physical] hbar / (2 * mass) must be positive and finite, got "
+            f"{origin}: [physical] hbar / (2 * mass) must be positive and finite and at most "
+            f"{_DIFFUSIVITY_MAX:.3g}, got "
             f"{params.diffusivity!r} from hbar = {params.hbar!r}, mass = {params.mass!r}"
         )
     state = GaussianState(sigma0=val("packet", "sigma0", 1.0), center=val("packet", "center", 0.0))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import balldiff
@@ -391,6 +391,22 @@ def test_diffusivity_out_of_range_names_hbar_and_mass(tmp_path, capsys, hbar, ma
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, hbar, mass, extra", [
+    ("spread", "1", "1e-160", ""),
+    ("doubleslit", "1e-16", "5e-324", SLITS),
+], ids=["spread", "doubleslit"])
+def test_diffusivity_whose_square_overflows_names_hbar_and_mass(tmp_path, capsys, command,
+                                                                hbar, mass, extra):
+    # t_final = 0 keeps the grid small, so the run reaches the stencil coefficient D**2
+    text = (BASE.replace("hbar = 1.0", f"hbar = {hbar}").replace("mass = 1.0", f"mass = {mass}")
+            .replace("t_final = 1.0", "t_final = 0") + extra)
+    assert main([command, "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'run.cfg'}: [physical] hbar / (2 * mass) must be "
+                          "positive and finite and at most 1.34e+154, got ")
+    assert err.endswith(f"from hbar = {float(hbar)!r}, mass = {float(mass)!r}\n")
+
+
 @pytest.mark.parametrize("command", ["spread", "trajectories", "convergence"])
 @pytest.mark.parametrize("center", ["1e308", "-1e12"])
 def test_unresolvable_center_names_center_and_dx(tmp_path, capsys, command, center):
@@ -432,11 +448,15 @@ _EXTREMES = [0.0, 5e-324, 1e-308, 1e-300, 1e-154, 1e154, 1e300, 1e308, 1.7976931
 _FINITE = (st.floats(allow_nan=False, allow_infinity=False)
            | st.sampled_from(_EXTREMES + [-v for v in _EXTREMES])
            | st.floats(min_value=1e-3, max_value=1e3))
+# (hbar, mass, sigma0, center) of runs that complete on both commands
+_COMPLETING = [(1.0, 1.0, 1.0, 0.0), (0.5, 2.0, 0.7, -1.3)]
 
 
 @pytest.mark.parametrize("command", ["spread", "doubleslit"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(hbar=_FINITE, mass=_FINITE, sigma0=_FINITE, center=_FINITE)
+@example(*_COMPLETING[0])
+@example(*_COMPLETING[1])
 def test_any_physical_and_packet_values_exit_cleanly(command, hbar, mass, sigma0, center):
     text = (f"[physical]\nhbar = {hbar!r}\nmass = {mass!r}\n"
             f"[packet]\nsigma0 = {sigma0!r}\ncenter = {center!r}\n"
@@ -454,6 +474,8 @@ def test_any_physical_and_packet_values_exit_cleanly(command, hbar, mass, sigma0
         f"{w.category.__name__}: {w.message}\n" for w in caught)
     assert status in (0, 1), stderr
     assert "Traceback" not in stderr and "RuntimeWarning" not in stderr, stderr
+    if (hbar, mass, sigma0, center) in _COMPLETING:
+        assert status == 0, stderr
 
 
 def test_import_leaves_pool_argparse_and_traceback_unloaded():

@@ -6,21 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import balldiff.stepper as stepper
 from balldiff import (
     DomainTooSmallError,
+    GaussianState,
     SlitConfig,
     ValidationError,
     compose_intensity,
     detect_fringe_maxima,
+    evolve,
     fringe_spacing,
     gaussian_pdf,
     grid_spanning,
     make_physical_params,
     phase,
     required_half_width,
+    sample_gaussian_field,
     simulate_double_slit,
 )
 from balldiff.core import MIN_SAFETY_SPAN
+from balldiff.interference import _shift
 
 
 def _slits(separation=6.0, dvx=2.0, sigma0=1.0):
@@ -174,3 +179,45 @@ def test_simulate_keeps_both_beam_densities(params):
     i2 = int(np.argmax(imap.p2[0]))
     assert grid.x[i1] == pytest.approx(-1.5, abs=grid.dx)
     assert grid.x[i2] == pytest.approx(+1.5, abs=grid.dx)
+
+
+def _double_slit_per_beam(slits, grid, params, snapshot_times):
+    """Reference: (times, p1, p2, p_total) with each beam in its own evolve call."""
+    half = 0.5 * slits.separation
+    beams = []
+    for center, v in ((-half, slits.v1), (half, slits.v2)):
+        state = GaussianState(sigma0=slits.sigma0, center=center)
+        initial = sample_gaussian_field(state, grid)
+        snaps, _ = evolve(initial, grid, state, params, snapshot_times)
+        beams.append(np.stack([_shift(s.values, grid.x, v * s.time) for s in snaps]))
+    phi = phase(grid.x, slits.dvx, params)
+    p_total = np.stack([compose_intensity(r1, r2, phi) for r1, r2 in zip(*beams)])
+    return np.array([s.time for s in snaps]), beams[0], beams[1], p_total
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+@pytest.mark.parametrize("v1, v2", [(1.0, -1.0), (1.5, -0.25)], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("times", [
+    [0.0],
+    [0.0, 0.5, 1.0],
+    [0.0, 0.0, 0.3, 0.3, 1.0, 1.0],
+    [0.7, 1.0],
+])
+def test_beams_march_together_like_separate_evolve_calls(monkeypatch, params, kernel,
+                                                         v1, v2, times):
+    slits = SlitConfig(separation=4.0, sigma0=1.0, v1=v1, v2=v2)
+    grid = _grid(slits, params, 1.0, 10, dt=0.05)
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    want = _double_slit_per_beam(slits, grid, params, times)
+    calls = []
+
+    def counting(values, nus):
+        calls.append(np.shape(values))
+        return kernel.apply_passes(values, nus)
+
+    monkeypatch.setattr(stepper, "apply_passes", counting)
+    imap = simulate_double_slit(slits, grid, params, times)
+    for got, ref in zip((imap.times, imap.p1, imap.p2, imap.p_total), want):
+        assert np.array_equal(got, ref)
+    # one call per distinct snapshot time after t = 0, both beams in it
+    assert calls == [(2, grid.nx)] * len({t for t in times if t > 0.0})

@@ -117,3 +117,53 @@ def test_edges_held_through_passes(kernel):
     out = kernel.apply_passes(a, np.array([0.4, 0.4, 0.4]))
     assert out[0] == 3.0
     assert out[-1] == 7.0
+
+
+def _rows_input(rows, nx, layout):
+    """A (rows, nx) array in the given memory layout."""
+    base = np.random.default_rng(rows * 10_000 + nx).random((rows, 2 * nx))
+    values = np.ascontiguousarray(base[:, :nx])
+    if layout == "strided":
+        return base[:, ::2]
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "float32":
+        return values.astype(np.float32)
+    return values
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3])
+@pytest.mark.parametrize("nx", [3, 4, 17, 1000])
+@pytest.mark.parametrize("n_passes", [0, 1, 2, 7])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran", "float32"])
+def test_rows_march_as_independent_lines(kernel, rows, nx, n_passes, layout):
+    values = _rows_input(rows, nx, layout)
+    before = values.copy()
+    nus = np.random.default_rng(n_passes).random(n_passes) * 0.5
+    out = kernel.apply_passes(values, nus)
+    assert out.shape == (rows, nx) and out.dtype == np.float64
+    assert np.array_equal(values, before)
+    for row, got in zip(values, out):
+        assert np.array_equal(got, kernel.apply_passes(row, nus))
+    assert np.array_equal(out[:, [0, -1]], before[:, [0, -1]])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3])
+@pytest.mark.parametrize("nx", [3, 4, 17, 1000])
+@pytest.mark.parametrize("n_passes", [0, 1, 2, 7])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran", "float32"])
+def test_backends_bitwise_identical_on_rows(compiled_stencil, rows, nx, n_passes, layout):
+    values = _rows_input(rows, nx, layout)
+    nus = np.random.default_rng(n_passes).random(n_passes) * 0.5
+    out_py = _py_impl.apply_passes(values, nus)
+    assert np.array_equal(out_py, compiled_stencil.apply_passes(values, nus))
+
+
+def test_apply_passes_rejects_short_rows(kernel):
+    with pytest.raises(ValueError, match="stencil needs at least 3 nodes"):
+        kernel.apply_passes(np.ones((2, 2)), np.array([0.1]))
+
+
+def test_apply_passes_refuses_three_dimensions(kernel):
+    with pytest.raises(ValueError):
+        kernel.apply_passes(np.ones((2, 2, 5)), np.array([0.1]))
