@@ -59,10 +59,17 @@ def _evolve_packet(cfg: RunConfig):
     return grid, snaps, report
 
 
+def _write_snapshots(out_dir: Path, stem: str, grid, times, names: list[str], rows) -> None:
+    """One ``stem_NNN.txt`` per snapshot: its t, the shared x axis, then ``rows``' columns."""
+    x_col = FormattedColumn(grid.x)
+    for i, (t, columns) in enumerate(zip(times, rows)):
+        write_table(out_dir / f"{stem}_{i:03d}.txt", ["t", "x", *names],
+                    [np.full(grid.nx, t), x_col, *columns])
+
+
 def run_spread(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int:
     """Evolve a single packet; record densities and the spreading history."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid, snaps, report = _evolve_packet(cfg)
 
     times = np.array([s.time for s in snaps])
@@ -75,13 +82,7 @@ def run_spread(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int:
         ["t", "sigma_simulated", "sigma_analytic", "rel_error"],
         [times, sigma_sim, sigma_ref, rel_error],
     )
-    x_col = FormattedColumn(grid.x)  # every snapshot shares the x axis
-    for i, snap in enumerate(snaps):
-        write_table(
-            out_dir / f"field_{i:03d}.txt",
-            ["t", "x", "p"],
-            [np.full(grid.nx, snap.time), x_col, snap.values],
-        )
+    _write_snapshots(out_dir, "field", grid, times, ["p"], ([s.values] for s in snaps))
     write_table(
         out_dir / "stepper_report.txt",
         ["macro_steps", "total_substeps", "max_courant", "mass_drift", "boundary_leak"],
@@ -105,20 +106,14 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
     """Evolve both slit beams, compose intensities, locate fringe maxima."""
     grid = double_slit_grid(cfg)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     imap = simulate_double_slit(cfg.slits, grid, cfg.params, cfg.snapshot_times)
 
-    total_name = "p_total_normalized" if cfg.normalize_total else "p_total"
-    x_col = FormattedColumn(grid.x)  # every snapshot shares the x axis
-    for i, t in enumerate(imap.times):
-        total = imap.p_total[i]
-        if cfg.normalize_total:
-            total = total / _trapezoid_mass(total, grid.dx)
-        write_table(
-            out_dir / f"intensity_{i:03d}.txt",
-            ["t", "x", "p1", "p2", total_name],
-            [np.full(grid.nx, t), x_col, imap.p1[i], imap.p2[i], total],
-        )
+    totals = imap.p_total
+    if cfg.normalize_total:
+        totals = (total / _trapezoid_mass(total, grid.dx) for total in totals)
+    _write_snapshots(out_dir, "intensity", grid, imap.times,
+                     ["p1", "p2", "p_total_normalized" if cfg.normalize_total else "p_total"],
+                     zip(imap.p1, imap.p2, totals))
 
     dvx = cfg.slits.dvx
     if dvx != 0.0:
@@ -156,7 +151,6 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
 def run_trajectories(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int:
     """Trace flux lines of a single packet and check their homothety."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid, snaps, _ = _evolve_packet(cfg)
     traj = trace_flux_lines(snaps, grid, cfg.quantiles)
 
@@ -210,7 +204,6 @@ def run_convergence(
     if cfg.t_final <= 0.0:
         raise ValidationError("convergence study needs t_final > 0")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
 
@@ -351,7 +344,6 @@ def run_sweep(
     command, axes = _parse_sweep(raw, origin)
     metric_name = _SWEEP_COMMANDS[command][1]
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     base = {section: dict(kv) for section, kv in raw.items() if section != "sweep"}
     jobs = []
@@ -466,6 +458,9 @@ def main(argv=None) -> int:
         return run_convergence(cfg, out, refinements=args.refinements, quiet=args.quiet)
     except BalldiffError as exc:
         _complain(str(exc))
+        return 1
+    except OSError as exc:  # config reads raise ConfigError, so this is an output write
+        _complain(f"cannot write output: {exc}")
         return 1
 
 

@@ -291,4 +291,8 @@ def _grid_around(cfg: RunConfig, center: float, half: float) -> Grid1D:
             f"the float range (diffusivity = {cfg.params.diffusivity:g}, "
             f"safety_span = {cfg.safety_span:g})"
         )
-    return grid_spanning(center, half, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap)
+    grid = grid_spanning(center, half, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap)
+    if cfg.dx > 0.5 * cfg.state.sigma0:  # coarser nodes cannot sample the packet
+        raise ConfigError(f"{cfg.origin}: [grid] dx = {cfg.dx:g} must be at most half of "
+                          f"[packet] sigma0 = {cfg.state.sigma0:g}; lower dx")
+    return grid

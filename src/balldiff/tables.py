@@ -51,7 +51,7 @@ class FormattedColumn:
 def write_table(path, column_names: list[str], columns: list) -> None:
     """Write named columns; all columns must share one length (0 allowed).
 
-    A column is an array-like of floats or a :class:`FormattedColumn`.
+    A column is an array-like of floats or a :class:`FormattedColumn`. Makes missing directories.
     """
     if len(column_names) != len(columns):
         raise ValidationError("one name per column required")
@@ -82,6 +82,7 @@ def write_table(path, column_names: list[str], columns: list) -> None:
             floats.append(c)
     statics[-1] += "\n"
 
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("# " + " ".join(column_names) + "\n")
         for b, start in enumerate(range(0, n, _BLOCK_ROWS)):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import balldiff
 import balldiff.cli as cli
+import balldiff.stepper as stepper
 from balldiff import (
     GaussianState,
     analytic_sigma,
@@ -25,6 +26,7 @@ from balldiff import (
     sample_gaussian_field,
     trace_flux_lines,
 )
+from balldiff._kernel import select_kernel
 from balldiff.cli import main
 from balldiff.config import load_config, single_beam_grid
 from balldiff.tables import read_table, write_table
@@ -48,6 +50,8 @@ SLITS = """
 separation = 4.0
 dvx = 2.0
 """
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _cfg(tmp_path, text, name="run.cfg"):
@@ -133,9 +137,32 @@ def test_pass_cap_failure_reported(tmp_path, capsys):
 
 
 def test_three_node_grid_leak_is_whole_mass(tmp_path, capsys):
+    # dx = 100 would size a 3-node grid whose edges hold the whole mass; the config
+    # is refused for its dx first (test_stepper covers the leak on such a grid)
     text = BASE.replace("dx = 0.1", "dx = 100").replace("dt = 0.05", "dt = 0.01")
     assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
-    assert "error: boundary holds 1.000e+00 of the mass" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "[grid] dx = 100 must be at most half of [packet] sigma0 = 1" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, extra", [("spread", ""), ("doubleslit", SLITS)],
+                         ids=["spread", "doubleslit"])
+def test_dx_too_coarse_for_sigma0_names_both_keys(tmp_path, capsys, command, extra):
+    text = (BASE.replace("hbar = 1.0", "hbar = 0.001").replace("mass = 1.0", "mass = 1000")
+            .replace("sigma0 = 1.0", "sigma0 = 0.001") + extra)
+    assert main([command, "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {tmp_path / 'run.cfg'}: [grid] dx = 0.1 must be at most half of "
+                   "[packet] sigma0 = 0.001; lower dx\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_dx_of_half_sigma0_still_runs(tmp_path):
+    text = BASE.replace("dx = 0.1", "dx = 0.5")
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
 
 
 def test_doubleslit_requires_slit_section(tmp_path, capsys):
@@ -622,3 +649,71 @@ def test_convergence_table_matches_per_level_reference(tmp_path):
     write_table(tmp_path / "reference.txt", ["level", "dx", "dt", "linf_error"],
                 [levels, dxs, dts, errors])
     assert (out / "convergence.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+def test_fringe_spacing_of_huge_hbar_and_mass_runs(tmp_path, capsys):
+    # 2 pi hbar alone overflows; the spacing 2 pi (hbar / (mass |dvx|)) does not
+    text = (BASE.replace("hbar = 1.0", "hbar = 1e308").replace("mass = 1.0", "mass = 1e307")
+            .replace("t_final = 1.0", "t_final = 0\nnx_cap = 100001")
+            + "\n[slits]\nseparation = 6\ndvx = 1\n")
+    out = tmp_path / "o"
+    assert main(["doubleslit", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert "spacing 62.8319," in capsys.readouterr().out
+    assert (out / "fringes.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["spread", "sweep"])
+@pytest.mark.parametrize("target", ["file", "file/sub"], ids=["file", "under_file"])
+def test_output_path_that_is_a_file_reported(tmp_path, capsys, command, target):
+    (tmp_path / "file").write_text("not a directory\n")
+    text = BASE + ("\n[sweep]\ncommand = spread\ngrid.t_final = 0.5\n" if command == "sweep" else "")
+    assert main([command, "--config", _cfg(tmp_path, text), "--out", str(tmp_path / target),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert str(tmp_path / "file") in err and "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "not a directory\n"
+
+
+def test_configured_directory_that_is_a_file_reported(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    text = BASE + f"\n[output]\ndirectory = {tmp_path / 'file'}\n"
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert "File exists" in err and "Traceback" not in err
+
+
+_NX_CAP_5 = BASE + "nx_cap = 5\n"
+_PASS_CAP = (BASE.replace("dx = 0.1", "dx = 0.001").replace("dt = 0.05", "dt = 0.1")
+             .replace("t_final = 1.0", "t_final = 100"))
+
+
+@pytest.mark.parametrize("command", ["spread", "trajectories", "convergence", "doubleslit"])
+@pytest.mark.parametrize("text, reason", [(_NX_CAP_5, "nodes (cap 5)"),
+                                          (_PASS_CAP, "stencil passes (cap ")],
+                         ids=["nx_cap", "pass_cap"])
+def test_refused_run_leaves_no_output_directory(tmp_path, capsys, command, text, reason):
+    if command == "doubleslit":
+        text += SLITS
+    out = tmp_path / "o"
+    assert main([command, "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("spread", "spread"), ("trajectories", "trajectories"), ("doubleslit", "doubleslit"),
+    ("convergence", "convergence"), ("sweep", "sweep_dvx"),
+])
+def test_shipped_configs_write_the_same_bytes_on_both_kernels(tmp_path, monkeypatch,
+                                                              compiled_stencil, command, config):
+    trees = []
+    for name, kernel in [("python", select_kernel("python")[0]), ("compiled", compiled_stencil)]:
+        monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+        out = tmp_path / name
+        assert main([command, "--config", str(CONFIGS / f"{config}.cfg"), "--out", str(out),
+                     "--quiet"]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert trees[0] and trees[0] == trees[1]

@@ -113,6 +113,15 @@ def test_evolve_flags_boundary_leak(params, unit_state):
         evolve(f0, grid, unit_state, params, [0.0, 2.0, 4.0])
 
 
+def test_evolve_three_node_grid_leaks_whole_mass(params, unit_state):
+    # dx = 100 around sigma0 = 1: every node is within an edge's reach
+    grid = grid_spanning(0.0, 11.0, 100.0, dt=0.01, t_final=1.0)
+    assert grid.nx == 3
+    f0 = sample_gaussian_field(unit_state, grid)
+    with pytest.raises(DomainTooSmallError, match=r"^boundary holds 1\.000e\+00 of the mass at t=0\.0;"):
+        evolve(f0, grid, unit_state, params, [0.0, 1.0])
+
+
 def test_evolve_refuses_schedule_over_pass_cap(params, unit_state):
     # dx = 0.001 to t = 100 needs about 3.1e9 passes; the cap refuses it before
     # the schedule is allocated (the grid is narrow, since only dx sets the count)

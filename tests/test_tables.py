@@ -67,6 +67,14 @@ def test_empty_table_round_trips(tmp_path):
     assert data.shape == (0, 2)
 
 
+def test_write_makes_missing_directories(tmp_path):
+    path = tmp_path / "run" / "point_000" / "t.txt"
+    write_table(path, ["a"], [[1.5]])
+    assert read_table(path)[0] == ["a"]
+    write_table(path.parent / "u.txt", ["b"], [[2.5]])  # the directory exists now
+    assert sorted(p.name for p in path.parent.iterdir()) == ["t.txt", "u.txt"]
+
+
 def test_write_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValidationError):
         write_table(tmp_path / "r.txt", ["a", "b"], [[1.0], [1.0, 2.0]])
