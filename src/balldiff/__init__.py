@@ -45,7 +45,7 @@ from .stepper import (
     sample_gaussian_field,
     second_moment_sigma,
 )
-from .trajectories import cumulative, invert_cdf, trace_flux_lines, velocity_field
+from .trajectories import cumulative, trace_flux_lines, velocity_field
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "fringe_spacing",
     "gaussian_pdf",
     "grid_spanning",
-    "invert_cdf",
     "kernel_backend",
     "make_physical_params",
     "phase",

@@ -365,7 +365,6 @@ def run_sweep(
             results = list(pool.map(_run_sweep_point, jobs))
     else:
         results = [_run_sweep_point(job) for job in jobs]
-    results.sort(key=lambda r: r[0])
 
     statuses = [status for _, status, _, _ in results]
     metrics = [metric for _, _, metric, _ in results]
@@ -449,13 +448,10 @@ def main(argv=None) -> int:
                              workers=args.workers, quiet=args.quiet)
         cfg = load_config(args.config)
         out = _resolve_out(args.out, cfg.directory, cfg.origin)
-        if args.command == "spread":
-            return run_spread(cfg, out, quiet=args.quiet)
-        if args.command == "doubleslit":
-            return run_doubleslit(cfg, out, quiet=args.quiet)
-        if args.command == "trajectories":
-            return run_trajectories(cfg, out, quiet=args.quiet)
-        return run_convergence(cfg, out, refinements=args.refinements, quiet=args.quiet)
+        if args.command == "convergence":
+            return run_convergence(cfg, out, refinements=args.refinements, quiet=args.quiet)
+        runner, _ = _SWEEP_COMMANDS[args.command]
+        return runner(cfg, out, quiet=args.quiet)
     except BalldiffError as exc:
         _complain(str(exc))
         return 1

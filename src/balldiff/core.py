@@ -131,10 +131,6 @@ class Field:
             raise ValidationError("field values must be non-negative")
         object.__setattr__(self, "values", _readonly(v))
 
-    def mass(self, dx: float) -> float:
-        """Discrete mass sum(values) * dx."""
-        return float(self.values.sum() * dx)
-
 
 @dataclass(frozen=True)
 class SlitConfig:

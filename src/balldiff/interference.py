@@ -163,6 +163,7 @@ def detect_fringe_maxima(
 
 def fringe_spacing(params: PhysicalParams, dvx: float) -> float:
     """Distance between adjacent constructive maxima, 2 pi (hbar / (m |dvx|))."""
-    if dvx == 0.0:
-        raise ValidationError("fringe spacing is undefined for dvx = 0")
-    return 2.0 * math.pi * (params.hbar / (params.mass * abs(dvx)))  # 2 pi hbar may overflow
+    momentum = params.mass * abs(dvx)  # 0 for dvx = 0, and on underflow
+    if momentum == 0.0:
+        raise ValidationError(f"fringe spacing is undefined for mass * |dvx| = 0 (dvx = {dvx!r})")
+    return 2.0 * math.pi * (params.hbar / momentum)  # 2 pi hbar may overflow

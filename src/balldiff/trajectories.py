@@ -32,34 +32,17 @@ def cumulative(field: Field, grid: Grid1D) -> np.ndarray:
     return c
 
 
-def invert_cdf(cdf: np.ndarray, grid: Grid1D, q: float) -> float:
-    """Leftmost position where the piecewise-linear CDF reaches ``q``.
-
-    Inside a zero-density plateau the equation has an interval of
-    solutions; the left endpoint is returned, deterministically.
-    """
-    if not (0.0 < q < 1.0):
-        raise ValidationError(f"quantile must be in (0, 1), got {q!r}")
-    c = np.asarray(cdf, dtype=np.float64)
-    if c.shape[0] != grid.nx:
-        raise ValidationError(f"cdf has {c.shape[0]} entries, grid has {grid.nx}")
-    if np.any(np.diff(c) < 0.0):
-        raise ValidationError("cdf must be non-decreasing")
-    j = int(np.searchsorted(c, q, side="left"))
-    if j <= 0:
-        return grid.x_min
-    if j >= c.shape[0]:
-        return grid.x_max
-    lo, hi = c[j - 1], c[j]
-    frac = (q - lo) / (hi - lo)  # hi > lo since c[j-1] < q <= c[j]
-    return float(grid.x_min + (j - 1 + frac) * grid.dx)
-
-
 def trace_flux_lines(snapshots, grid: Grid1D, quantiles) -> TrajectorySet:
-    """Quantile paths through a time-ordered series of density snapshots."""
+    """Quantile paths through a time-ordered series of density snapshots.
+
+    ``paths[i, k]`` is the leftmost position where the piecewise-linear CDF
+    of snapshot ``k`` reaches ``quantiles[i]``; every quantile lies in (0, 1).
+    """
     q = np.array(quantiles, dtype=np.float64)  # a copy: the set marks it read-only
     if q.ndim != 1 or q.size == 0:
         raise ValidationError("quantiles must be a non-empty 1-d sequence")
+    if not np.all((q > 0.0) & (q < 1.0)):  # NaN fails both
+        raise ValidationError(f"quantiles must lie in (0, 1), got {q.tolist()!r}")
     if np.any(np.diff(q) <= 0.0):
         raise ValidationError("quantiles must be strictly increasing")
     snaps = list(snapshots)
@@ -71,8 +54,10 @@ def trace_flux_lines(snapshots, grid: Grid1D, quantiles) -> TrajectorySet:
     paths = np.empty((q.size, times.size))
     for k, snap in enumerate(snaps):
         c = cumulative(snap, grid)
-        for i, qi in enumerate(q):
-            paths[i, k] = invert_cdf(c, grid, qi)
+        # c[0] = 0 < q < 1 = c[-1], so 1 <= j <= nx - 1 and c[j - 1] < q <= c[j];
+        # side="left" takes the leftmost solution inside a zero-density plateau
+        j = np.searchsorted(c, q, side="left")
+        paths[:, k] = grid.x_min + ((j - 1) + (q - c[j - 1]) / (c[j] - c[j - 1])) * grid.dx
     for a in (q, times, paths):
         a.setflags(write=False)
     return TrajectorySet(quantiles=q, times=times, paths=paths)

@@ -151,6 +151,8 @@ def test_fringe_spacing_values(params):
     assert fringe_spacing(params, 1.0) == 2.0 * math.pi
     with pytest.raises(ValidationError):
         fringe_spacing(params, 0.0)
+    with pytest.raises(ValidationError):  # mass * |dvx| underflows to 0
+        fringe_spacing(make_physical_params(1.0, 1e-300), 1e-30)
     # the ratio is taken first, so 2 pi hbar never overflows on its own
     assert fringe_spacing(make_physical_params(1e308, 1e307), 1.0) == pytest.approx(20 * math.pi)
 

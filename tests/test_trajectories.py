@@ -1,5 +1,6 @@
 """Flux lines: CDF building, quantile inversion, tracing, velocities."""
 import math
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -15,11 +16,14 @@ from balldiff import (
     cumulative,
     gaussian_pdf,
     grid_spanning,
-    invert_cdf,
+    evolve,
+    sample_gaussian_field,
     trace_flux_lines,
     velocity_field,
 )
+from balldiff.config import load_config, single_beam_grid
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PHI_1 = 0.8413447460685429
 
 
@@ -60,43 +64,93 @@ def test_cumulative_rejects_zero_mass():
         cumulative(Field(time=0.0, values=np.zeros(3)), grid)
 
 
+def _reference_paths(snapshots, grid, quantiles):
+    """Per-quantile reference for trace_flux_lines: one searchsorted per (snapshot, quantile)."""
+    q = np.asarray(quantiles, dtype=np.float64)
+    paths = np.empty((q.size, len(snapshots)))
+    for k, snap in enumerate(snapshots):
+        c = cumulative(snap, grid)
+        for i, qi in enumerate(q):
+            j = int(np.searchsorted(c, qi, side="left"))
+            frac = (qi - c[j - 1]) / (c[j] - c[j - 1])
+            paths[i, k] = float(grid.x_min + (j - 1 + frac) * grid.dx)
+    return paths
+
+
+def _plateau():
+    """Zero density on nodes 2-4: the CDF is 0.5 from x = 2 to x = 4."""
+    grid = Grid1D(x_min=0.0, dx=1.0, nx=7, dt=0.1, n_steps=1)
+    field = Field(time=0.0, values=[0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0])
+    return grid, field
+
+
+def _uniform_case():
+    grid, field = _uniform_grid()
+    return grid, [field], [0.1, 0.25, 0.3, 0.5, 0.75, 0.9]
+
+
+def _gaussian_case():
+    grid = grid_spanning(0.0, 8.0, 0.05, dt=0.1, t_final=1.0)
+    snaps = [_gaussian_snapshot(t, grid) for t in (0.0, 1.0, 2.0)]
+    return grid, snaps, [1e-9, 0.1, 0.5, PHI_1, 1.0 - 1e-9]
+
+
+def _plateau_case():
+    grid, field = _plateau()
+    return grid, [field], [0.25, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.75]
+
+
+def _trajectories_cfg_case():
+    """The shipped config's snapshots, at its deciles and 999 more quantiles."""
+    cfg = load_config(CONFIGS / "trajectories.cfg")
+    grid = single_beam_grid(cfg)
+    snaps, _ = evolve(sample_gaussian_field(cfg.state, grid), grid, cfg.state, cfg.params,
+                      cfg.snapshot_times)
+    return grid, snaps, np.union1d(cfg.quantiles, np.linspace(0.001, 0.999, 999))
+
+
+@pytest.mark.parametrize("case", [_uniform_case, _gaussian_case, _plateau_case,
+                                  _trajectories_cfg_case], ids=lambda case: case.__name__)
+def test_trace_flux_lines_equal_per_quantile_reference(case):
+    grid, snaps, quantiles = case()
+    traj = trace_flux_lines(snaps, grid, quantiles)
+    assert np.array_equal(traj.paths, _reference_paths(snaps, grid, quantiles))
+
+
 def test_invert_cdf_on_uniform():
     grid, field = _uniform_grid()
-    c = cumulative(field, grid)
-    assert invert_cdf(c, grid, 0.25) == 0.25
-    assert invert_cdf(c, grid, 0.1) == pytest.approx(0.1, abs=1e-15)
-    assert invert_cdf(c, grid, 0.5) == 0.5
+    paths = trace_flux_lines([field], grid, [0.1, 0.25, 0.5]).paths[:, 0]
+    assert paths[0] == pytest.approx(0.1, abs=1e-15)
+    assert paths[1] == 0.25
+    assert paths[2] == 0.5
 
 
 def test_invert_cdf_median_of_gaussian():
     grid = grid_spanning(0.0, 8.0, 0.05, dt=0.1, t_final=1.0)
-    c = cumulative(_gaussian_snapshot(0.0, grid), grid)
-    assert invert_cdf(c, grid, 0.5) == pytest.approx(0.0, abs=1e-8)
+    traj = trace_flux_lines([_gaussian_snapshot(0.0, grid)], grid, [0.5])
+    assert traj.paths[0, 0] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_invert_cdf_at_phi_of_one():
     grid = grid_spanning(0.0, 8.0, 0.05, dt=0.1, t_final=1.0)
-    c = cumulative(_gaussian_snapshot(0.0, grid), grid)
-    assert invert_cdf(c, grid, PHI_1) == pytest.approx(1.0, abs=grid.dx)
+    traj = trace_flux_lines([_gaussian_snapshot(0.0, grid)], grid, [PHI_1])
+    assert traj.paths[0, 0] == pytest.approx(1.0, abs=grid.dx)
 
 
 def test_invert_cdf_plateau_returns_leftmost():
-    grid = Grid1D(x_min=0.0, dx=1.0, nx=7, dt=0.1, n_steps=1)
-    c = np.array([0.0, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0])
-    assert invert_cdf(c, grid, 0.5) == 2.0
+    grid, field = _plateau()
+    assert np.array_equal(cumulative(field, grid), [0.0, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0])
+    paths = trace_flux_lines([field], grid, [0.5, 0.5 + 1e-6]).paths[:, 0]
+    assert paths[0] == 2.0
     # just above the plateau value the solution jumps to its right edge
-    assert invert_cdf(c, grid, 0.5 + 1e-6) == pytest.approx(4.0, abs=1e-4)
+    assert paths[1] == pytest.approx(4.0, abs=1e-4)
 
 
 def test_invert_cdf_validates_inputs():
     grid, field = _uniform_grid()
-    c = cumulative(field, grid)
-    with pytest.raises(ValidationError):
-        invert_cdf(c, grid, 0.0)
-    with pytest.raises(ValidationError):
-        invert_cdf(c, grid, 1.0)
-    with pytest.raises(ValidationError):
-        invert_cdf(np.array([0.0, 0.5, 0.4, 0.8, 1.0]), grid, 0.5)
+    for quantiles in ([0.0], [1.0], [0.5, 1.0], [math.nan], [0.2, math.nan]):
+        with pytest.raises(ValidationError, match=r"\(0, 1\)"):
+            trace_flux_lines([field], grid, quantiles)
 
 
 def test_trace_flux_lines_match_analytic_quantiles():
@@ -139,6 +193,7 @@ def test_trace_flux_lines_paths_ordered_by_quantile(densities, quantiles):
     traj = trace_flux_lines(snaps, grid, sorted(quantiles))
     assert traj.paths.shape == (len(quantiles), len(densities))
     assert np.all(np.diff(traj.paths, axis=0) >= 0.0)
+    assert np.array_equal(traj.paths, _reference_paths(snaps, grid, sorted(quantiles)))
 
 
 def test_trace_flux_lines_arrays_read_only_and_caller_quantiles_untouched():
