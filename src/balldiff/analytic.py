@@ -27,8 +27,8 @@ def gaussian_pdf(x, center: float, sigma: float):
     return float(out) if np.isscalar(x) else out
 
 
-def analytic_sigma(t, sigma0: float, diffusivity: float):
-    """Packet width sigma0 * sqrt(1 + (D t / sigma0^2)^2) at time t >= 0."""
+def _checked_times(t, sigma0: float, diffusivity: float) -> np.ndarray:
+    """``t`` as a float array, once sigma0 > 0, diffusivity > 0 and every t >= 0 hold."""
     if not (sigma0 > 0.0):
         raise ValidationError(f"sigma0 must be positive, got {sigma0!r}")
     if not (diffusivity > 0.0):
@@ -36,6 +36,12 @@ def analytic_sigma(t, sigma0: float, diffusivity: float):
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0.0):
         raise ValidationError(f"t must be >= 0, got {t!r}")
+    return t_arr
+
+
+def analytic_sigma(t, sigma0: float, diffusivity: float):
+    """Packet width sigma0 * sqrt(1 + (D t / sigma0^2)^2) at time t >= 0."""
+    t_arr = _checked_times(t, sigma0, diffusivity)
     u = diffusivity * t_arr / sigma0**2
     out = sigma0 * np.sqrt(1.0 + u * u)
     return float(out) if np.isscalar(t) else out
@@ -47,13 +53,7 @@ def diffusion_coefficient(t, sigma0: float, diffusivity: float):
     Zero at t=0 and growing linearly; this is what makes the spreading
     ballistic (variance growing like t**2) rather than diffusive.
     """
-    if not (sigma0 > 0.0):
-        raise ValidationError(f"sigma0 must be positive, got {sigma0!r}")
-    if not (diffusivity > 0.0):
-        raise ValidationError(f"diffusivity must be positive, got {diffusivity!r}")
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0):
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+    t_arr = _checked_times(t, sigma0, diffusivity)
     out = diffusivity**2 * t_arr / sigma0**2
     return float(out) if np.isscalar(t) else out
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 # argparse, traceback and the sweep's process pool are imported where they are
 # used, so that importing this module does not pay for them.
 import dataclasses
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -19,13 +18,13 @@ import numpy as np
 
 from .analytic import analytic_sigma, gaussian_pdf
 from .config import (
-    SCHEMA,
     RunConfig,
     build_config,
     double_slit_grid,
     load_config,
     load_raw,
     single_beam_grid,
+    sweep_points,
 )
 from .core import grid_spanning  # noqa: F401  (unused: kept bound for perfbench/spans.py)
 from .errors import BalldiffError, ConfigError, ValidationError
@@ -244,46 +243,6 @@ _SWEEP_COMMANDS = {
 }
 
 
-def _parse_sweep(raw: dict[str, dict[str, str]], origin: str):
-    sweep = raw.get("sweep")
-    if sweep is None:
-        raise ConfigError(f"{origin}: [sweep] section is required for sweep")
-    command = sweep.get("command")
-    if command not in _SWEEP_COMMANDS:
-        raise ConfigError(
-            f"{origin}: [sweep] command must be one of {sorted(_SWEEP_COMMANDS)}, "
-            f"got {command!r}"
-        )
-    axes: list[tuple[str, str, str, tuple[float, ...]]] = []
-    for dotted, text in sweep.items():
-        if dotted == "command":
-            continue
-        section, _, key = dotted.partition(".")
-        kind = SCHEMA.get(section, {}).get(key)
-        if not key or kind is None:
-            raise ConfigError(f"{origin}: [sweep] unknown target {dotted!r}")
-        if kind not in ("float", "int"):
-            raise ConfigError(f"{origin}: [sweep] cannot sweep {kind} key {dotted!r}")
-        try:
-            values = tuple(float(s) for s in text.split(",") if s.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{origin}: [sweep] {dotted}: {exc}") from exc
-        if not values:
-            raise ConfigError(f"{origin}: [sweep] {dotted} has no values")
-        axes.append((dotted, section, key, values))
-    if not axes:
-        raise ConfigError(f"{origin}: [sweep] no parameters to sweep")
-    return command, axes
-
-
-def _format_override(kind: str, dotted: str, value: float, origin: str) -> str:
-    if kind == "int":
-        if not float(value).is_integer():
-            raise ConfigError(f"{origin}: [sweep] {dotted} needs integers, got {value!r}")
-        return str(int(value))
-    return repr(float(value))
-
-
 def _run_sweep_point(args) -> tuple[int, int, float, str | None]:
     """One sweep point in a worker process.
 
@@ -341,21 +300,12 @@ def run_sweep(
     workers = int(workers)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    command, axes = _parse_sweep(raw, origin)
+    command, keys, points = sweep_points(raw, origin, _SWEEP_COMMANDS)
     metric_name = _SWEEP_COMMANDS[command][1]
     out_dir = Path(out_dir)
-
-    base = {section: dict(kv) for section, kv in raw.items() if section != "sweep"}
-    jobs = []
-    combos = list(itertools.product(*(values for _, _, _, values in axes)))
-    for index, combo in enumerate(combos):
-        raw_point = {section: dict(kv) for section, kv in base.items()}
-        for (dotted, section, key, _), value in zip(axes, combo):
-            kind = SCHEMA[section][key]
-            raw_point.setdefault(section, {})[key] = _format_override(
-                kind, dotted, value, origin
-            )
-        jobs.append((index, raw_point, origin, command, str(out_dir / f"point_{index:03d}")))
+    jobs = [(index, raw_point, origin, command, str(out_dir / f"point_{index:03d}"))
+            for index, (raw_point, _) in enumerate(points)]
+    values = np.array([point_values for _, point_values in points], dtype=np.float64)
 
     workers = min(workers, len(jobs))  # a fork-based pool starts all its workers at once
     if workers > 1:
@@ -368,28 +318,20 @@ def run_sweep(
 
     statuses = [status for _, status, _, _ in results]
     metrics = [metric for _, _, metric, _ in results]
-    for (index, status, metric, error), combo in zip(results, combos):
-        settings = " ".join(
-            f"{dotted}={value:g}" for (dotted, _, _, _), value in zip(axes, combo)
-        )
+    for (index, status, metric, error), row in zip(results, values):
+        settings = " ".join(f"{dotted}={value:g}" for dotted, value in zip(keys, row))
         _say(quiet, f"sweep: point {index:03d} {settings} status={status} "
                     f"{metric_name}={metric:g}")
         if error is not None:
             _complain(f"point {index:03d}: {error}")
 
-    columns: list[np.ndarray] = [np.arange(len(combos), dtype=np.float64)]
-    names = ["point"]
-    for axis_pos, (dotted, _, _, _) in enumerate(axes):
-        names.append(dotted)
-        columns.append(np.array([combo[axis_pos] for combo in combos], dtype=np.float64))
-    names += ["status", metric_name]
-    columns += [np.array(statuses, dtype=np.float64), np.array(metrics, dtype=np.float64)]
-    write_table(out_dir / "manifest.txt", names, columns)
+    write_table(out_dir / "manifest.txt", ["point", *keys, "status", metric_name],
+                [np.arange(len(points)), *values.T, statuses, metrics])
 
     failed = sum(1 for s in statuses if s != 0)
-    _say(quiet, f"sweep: {len(combos)} points, {failed} failed")
+    _say(quiet, f"sweep: {len(points)} points, {failed} failed")
     if failed:
-        _complain(f"{failed} of {len(combos)} sweep points failed")
+        _complain(f"{failed} of {len(points)} sweep points failed")
         return 1
     return 0
 

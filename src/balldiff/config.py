@@ -7,6 +7,7 @@ pair (v1, v2) or as a single symmetric split dvx, not both.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -97,9 +98,7 @@ def load_raw(path) -> dict[str, dict[str, str]]:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (OSError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raw: dict[str, dict[str, str]] = {}
     for section in parser.sections():
@@ -114,6 +113,10 @@ def load_raw(path) -> dict[str, dict[str, str]]:
     return raw
 
 
+def _items(text: str) -> list[str]:
+    return [s for s in (p.strip() for p in text.split(",")) if s]
+
+
 def _parse(kind: str, text: str, where: str):
     try:
         if kind == "float":
@@ -122,31 +125,30 @@ def _parse(kind: str, text: str, where: str):
                 raise ValueError("not finite")
             return value
         if kind == "int":
-            return int(text)
+            value = int(text)
+            if abs(value) > sys.float_info.max:  # int keys meet floats: dx = sigma0 / n
+                raise ValueError("beyond the float range")
+            return value
         if kind == "bool":
             word = text.strip().lower()
             if word not in _BOOL_WORDS:
                 raise ValueError(f"expected true/false, got {text!r}")
             return _BOOL_WORDS[word]
         if kind == "floats":
-            items = [s for s in (p.strip() for p in text.split(",")) if s]
+            items = _items(text)
             if not items:
                 raise ValueError("empty list")
-            return tuple(float(s) for s in items)
+            return tuple(_parse("float", s, where) for s in items)
         return text.strip()
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _get(raw, section, key, default=None):
-    return raw.get(section, {}).get(key, default)
 
 
 def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
     """Type-check the raw key/value maps and assemble a RunConfig."""
 
     def val(section, key, default=None):
-        text = _get(raw, section, key)
+        text = raw.get(section, {}).get(key)
         if text is None:
             return default
         return _parse(SCHEMA[section][key], text, f"{origin}: [{section}] {key}")
@@ -243,6 +245,45 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     return build_config(load_raw(path), str(path))
+
+
+def sweep_points(raw: dict[str, dict[str, str]], origin: str, commands):
+    """The ``[sweep]`` command, its swept keys, and one ``(raw, values)`` pair per point.
+
+    Each value parses exactly as under its own section and enters the point's
+    raw config as written. The last key varies fastest, as in ``itertools.product``.
+    """
+    sweep = raw.get("sweep")
+    if sweep is None:
+        raise ConfigError(f"{origin}: [sweep] section is required for sweep")
+    command = sweep.get("command")
+    if command not in commands:
+        raise ConfigError(
+            f"{origin}: [sweep] command must be one of {sorted(commands)}, got {command!r}"
+        )
+    axes = {}
+    for dotted, text in sweep.items():
+        if dotted == "command":
+            continue
+        section, _, key = dotted.partition(".")
+        kind = SCHEMA.get(section, {}).get(key)
+        if not key or kind is None:
+            raise ConfigError(f"{origin}: [sweep] unknown target {dotted!r}")
+        if kind not in ("float", "int"):
+            raise ConfigError(f"{origin}: [sweep] cannot sweep {kind} key {dotted!r}")
+        if not _items(text):
+            raise ConfigError(f"{origin}: [sweep] {dotted} has no values")
+        axes[section, key] = [(s, _parse(kind, s, f"{origin}: [sweep] {dotted}"))
+                              for s in _items(text)]
+    if not axes:
+        raise ConfigError(f"{origin}: [sweep] no parameters to sweep")
+    points = []
+    for combo in itertools.product(*axes.values()):
+        point = {section: dict(kv) for section, kv in raw.items() if section != "sweep"}
+        for (section, key), (text, _) in zip(axes, combo):
+            point.setdefault(section, {})[key] = text
+        points.append((point, [value for _, value in combo]))
+    return command, [f"{section}.{key}" for section, key in axes], points
 
 
 def single_beam_grid(cfg: RunConfig) -> Grid1D:

@@ -152,6 +152,8 @@ class SlitConfig:
         object.__setattr__(self, "v1", float(self.v1))
         object.__setattr__(self, "v2", float(self.v2))
         object.__setattr__(self, "dvx", self.v1 - self.v2)
+        if not math.isfinite(self.dvx):  # then v1 and v2 are finite too
+            raise ValidationError(f"v1 - v2 must be finite, got v1 = {self.v1!r}, v2 = {self.v2!r}")
 
 
 @dataclass(frozen=True)

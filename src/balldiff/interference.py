@@ -163,6 +163,8 @@ def detect_fringe_maxima(
 
 def fringe_spacing(params: PhysicalParams, dvx: float) -> float:
     """Distance between adjacent constructive maxima, 2 pi (hbar / (m |dvx|))."""
+    if not math.isfinite(dvx):
+        raise ValidationError(f"fringe spacing needs a finite dvx, got {dvx!r}")
     momentum = params.mass * abs(dvx)  # 0 for dvx = 0, and on underflow
     if momentum == 0.0:
         raise ValidationError(f"fringe spacing is undefined for mass * |dvx| = 0 (dvx = {dvx!r})")

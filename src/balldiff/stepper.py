@@ -66,16 +66,19 @@ def _snap_indices(snapshot_times, grid: Grid1D, t0: float) -> list[int]:
     times = np.asarray(snapshot_times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("snapshot_times must be a non-empty 1-d sequence")
-    if np.any(np.diff(times) < 0.0):
+    if not np.all(np.isfinite(times)):
+        raise ValidationError(f"snapshot_times must be finite, got {times.tolist()}")
+    if np.any(times[1:] < times[:-1]):
         raise ValidationError("snapshot_times must be sorted ascending")
     if np.any(times < t0):
         raise ValidationError(f"snapshot_times must be >= start time {t0}")
-    idx = np.rint((times - t0) / grid.dt).astype(int)
-    if np.any(idx > grid.n_steps):
+    with np.errstate(over="ignore"):  # an overflowing step count is inf, refused below
+        steps = np.rint((times - t0) / grid.dt)
+    if np.any(steps > grid.n_steps):
         raise ValidationError(
             f"snapshot_times reach past the final step t={t0 + grid.t_final}"
         )
-    return [int(i) for i in idx]
+    return [int(i) for i in steps]
 
 
 def _substep_schedule(

@@ -28,7 +28,8 @@ from balldiff import (
 )
 from balldiff._kernel import select_kernel
 from balldiff.cli import main
-from balldiff.config import load_config, single_beam_grid
+from balldiff import config
+from balldiff.config import build_config, load_config, load_raw, single_beam_grid
 from balldiff.tables import read_table, write_table
 
 BASE = """\
@@ -355,6 +356,94 @@ def test_sweep_non_numeric_value_reported(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "slits.dvx" in err and "abc" in err
     assert not (tmp_path / "o").exists()
+
+
+#: A config that runs under every swept key: dx or points_per_sigma0, and dvx or v1/v2,
+#: are each dropped when the other is the key under test.
+_FULL = {
+    "physical": {"hbar": "1.0", "mass": "1.0"},
+    "packet": {"sigma0": "1.0", "center": "0.0"},
+    "grid": {"dx": "0.1", "dt": "0.05", "t_final": "1.0", "safety_span": "10.0",
+             "nx_cap": "100000"},
+    "slits": {"separation": "4.0", "dvx": "2.0"},
+    "trajectories": {"v_y": "1.0"},
+    "output": {"sigma_rel_tol": "0.1", "homothety_tol": "0.1", "fringe_cell_tol": "1.0"},
+}
+_EXCLUSIVE = {"points_per_sigma0": "dx", "v1": "dvx", "v2": "dvx"}
+#: Valid text for each numeric key, written in varied forms.
+_VALID = {
+    "hbar": "5e-1", "mass": "2", "sigma0": "1.5", "center": "-0.25", "dx": "0.125",
+    "points_per_sigma0": "10", "dt": "2.5e-2", "t_final": "0.50", "safety_span": "12",
+    "nx_cap": "5000", "separation": "3.", "v1": "0.5", "v2": "-.5", "dvx": "1.5e0",
+    "v_y": "2.0", "sigma_rel_tol": "1e-2", "homothety_tol": "0.02", "fringe_cell_tol": "0.5",
+}
+_NUMERIC_KEYS = [(section, key, kind) for section, keys in config.SCHEMA.items()
+                 for key, kind in keys.items() if kind in ("float", "int")]
+
+
+def _ini(raw):
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) + "\n"
+                   for section, kv in raw.items())
+
+
+def _full_raw(section, key):
+    raw = {s: dict(kv) for s, kv in _FULL.items()}
+    raw[section].pop(_EXCLUSIVE.get(key), None)
+    return raw
+
+
+@pytest.mark.parametrize("section, key, kind", _NUMERIC_KEYS)
+def test_one_value_sweep_builds_the_plain_config(tmp_path, section, key, kind):
+    plain = _full_raw(section, key)
+    plain[section][key] = _VALID[key]
+    swept = _full_raw(section, key)
+    swept["sweep"] = {"command": "spread", f"{section}.{key}": _VALID[key]}
+    command, keys, points = config.sweep_points(
+        load_raw(_cfg(tmp_path, _ini(swept), "s.cfg")), "run", cli._SWEEP_COMMANDS)
+    assert (command, keys) == ("spread", [f"{section}.{key}"])
+    [(raw_point, values)] = points
+    expected = load_config(_cfg(tmp_path, _ini(plain), "p.cfg"))
+    assert build_config(raw_point, expected.origin) == expected
+    [value] = values
+    assert type(value) is {"int": int, "float": float}[kind]
+    assert value == float(_VALID[key])
+
+
+_REFUSED = [(section, key, text) for section, key, kind in _NUMERIC_KEYS
+            for text in (("8.0", "1e3", "abc", "1" + "0" * 400) if kind == "int"
+                         else ("nan", "inf", "-inf", "abc"))]
+
+
+@pytest.mark.parametrize("section, key, text", _REFUSED)
+def test_sweep_refuses_what_its_section_refuses(tmp_path, capsys, section, key, text):
+    raw = _full_raw(section, key)
+    raw[section][key] = text
+    out = tmp_path / "o"
+    assert main(["spread", "--config", _cfg(tmp_path, _ini(raw), "p.cfg"), "--out", str(out),
+                 "--quiet"]) == 1
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    raw = _full_raw(section, key)
+    raw["sweep"] = {"command": "spread", f"{section}.{key}": f"{_VALID[key]}, {text}"}
+    assert main(["sweep", "--config", _cfg(tmp_path, _ini(raw), "s.cfg"), "--out", str(out),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"[sweep] {section}.{key}" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spread", "doubleslit", "trajectories"])
+@pytest.mark.parametrize("section, key, text", [
+    ("output", "snapshot_times", "0.0, nan, 1.0"),
+    ("trajectories", "quantiles", "0.1, nan"),
+])
+def test_non_finite_list_entry_refused(tmp_path, capsys, command, section, key, text):
+    cfg = BASE + SLITS + f"\n[{section}]\n{key} = {text}\n"
+    out = tmp_path / "o"
+    assert main([command, "--config", _cfg(tmp_path, cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"[{section}] {key}: not finite" in err
+    assert not out.exists()
 
 
 def test_huge_safety_span_reported(tmp_path, capsys):

@@ -94,6 +94,13 @@ def test_slit_config_derives_dvx():
         SlitConfig(separation=0.0, sigma0=1.0, v1=0.0, v2=0.0)
 
 
+@pytest.mark.parametrize("v1, v2", [(float("nan"), 0.0), (0.0, float("inf")),
+                                    (float("-inf"), 1.0), (1e308, -1e308)])
+def test_slit_config_refuses_non_finite_drifts(v1, v2):
+    with pytest.raises(ValidationError, match="v1 - v2 must be finite"):
+        SlitConfig(separation=6.0, sigma0=1.0, v1=v1, v2=v2)
+
+
 def test_trajectory_set_validates_quantiles():
     """trace_flux_lines, the only TrajectorySet producer, refuses quantiles
     that are not a non-empty, increasing 1-d sequence inside (0, 1)."""

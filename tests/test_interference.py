@@ -157,6 +157,12 @@ def test_fringe_spacing_values(params):
     assert fringe_spacing(make_physical_params(1e308, 1e307), 1.0) == pytest.approx(20 * math.pi)
 
 
+@pytest.mark.parametrize("dvx", [math.nan, math.inf, -math.inf])
+def test_fringe_spacing_refuses_non_finite_dvx(params, dvx):
+    with pytest.raises(ValidationError, match="finite dvx"):
+        fringe_spacing(params, dvx)
+
+
 def test_intensity_map_validates_shapes(params):
     """simulate_double_slit, the only IntensityMap producer, gives matching
     shapes, non-negative intensities and read-only arrays."""

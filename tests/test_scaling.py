@@ -1,4 +1,4 @@
-"""Dyadic scale invariance of the shipped spread and double-slit runs.
+"""Dyadic scale invariance of the shipped spread, double-slit, flux-line and convergence runs.
 
 Lengths scaled by 2**k and times by 4**k leave every stencil coefficient
 nu = D_t dt / dx**2 and the phase mass * dvx * x / hbar unchanged, and
@@ -12,11 +12,16 @@ import numpy as np
 import pytest
 
 import balldiff.stepper as stepper
-from balldiff.cli import _evolve_packet
+from balldiff.cli import _evolve_packet, run_convergence, run_trajectories
 from balldiff.config import build_config, double_slit_grid, load_raw
 from balldiff.interference import simulate_double_slit
+from balldiff.tables import read_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+#: The keys of a single-packet config that are lengths and times.
+_LENGTHS = [("packet", "sigma0"), ("packet", "center"), ("grid", "dx")]
+_TIMES = [("grid", "dt"), ("grid", "t_final"), ("output", "snapshot_times")]
 
 
 def _scaled_config(name, factors):
@@ -35,11 +40,8 @@ def test_spread_is_dyadic_scale_invariant(monkeypatch, kernel, k):
     runs = []
     for scale in (0, k):
         length, time = 2.0**scale, 4.0**scale
-        runs.append(_evolve_packet(_scaled_config("spread", {
-            ("packet", "sigma0"): length, ("packet", "center"): length,
-            ("grid", "dx"): length, ("grid", "dt"): time, ("grid", "t_final"): time,
-            ("output", "snapshot_times"): time,
-        })))
+        runs.append(_evolve_packet(_scaled_config(
+            "spread", {**dict.fromkeys(_LENGTHS, length), **dict.fromkeys(_TIMES, time)})))
     (grid, snaps, report), (grid_k, snaps_k, report_k) = runs
     assert grid_k.nx == grid.nx
     assert np.array_equal(grid_k.x, grid.x * 2.0**k)
@@ -71,3 +73,49 @@ def test_doubleslit_is_dyadic_scale_invariant(monkeypatch, kernel, k):
     assert np.array_equal(imap_k.times, imap.times * 4.0**k)
     for name in ("p1", "p2", "p_total"):
         assert np.array_equal(getattr(imap_k, name), getattr(imap, name) * 2.0**-k), name
+
+
+def _columns(path):
+    names, data = read_table(path)
+    return {name: data[:, j] for j, name in enumerate(names)}
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+@pytest.mark.parametrize("k", [1, -3])
+def test_trajectories_are_dyadic_scale_invariant(monkeypatch, tmp_path, kernel, k):
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    for scale in (0, k):
+        factors = {**dict.fromkeys(_LENGTHS, 2.0**scale), **dict.fromkeys(_TIMES, 4.0**scale),
+                   ("trajectories", "v_y"): 2.0**-scale}
+        assert run_trajectories(_scaled_config("trajectories", factors), tmp_path / str(scale),
+                                quiet=True) == 0
+    for table, lengths, times, same in [
+        ("trajectories.txt", ["x", "y_display"], ["t"], ["quantile"]),
+        ("homothety.txt", ["x_expected", "x_actual"], ["t"], ["quantile", "rel_dev"]),
+    ]:
+        base, scaled = _columns(tmp_path / "0" / table), _columns(tmp_path / str(k) / table)
+        assert base["quantile"].size > 0
+        for name in lengths:
+            assert np.array_equal(scaled[name], base[name] * 2.0**k), (table, name)
+        for name in times:
+            assert np.array_equal(scaled[name], base[name] * 4.0**k), (table, name)
+        for name in same:
+            assert np.array_equal(scaled[name], base[name]), (table, name)
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+@pytest.mark.parametrize("k", [1, -3])
+def test_convergence_is_dyadic_scale_invariant(monkeypatch, tmp_path, kernel, k):
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    for scale in (0, k):
+        factors = {**dict.fromkeys(_LENGTHS, 2.0**scale), **dict.fromkeys(_TIMES[:2], 4.0**scale)}
+        assert run_convergence(_scaled_config("convergence", factors), tmp_path / str(scale),
+                               quiet=True) == 0
+    base = _columns(tmp_path / "0" / "convergence.txt")
+    scaled = _columns(tmp_path / str(k) / "convergence.txt")
+    assert np.array_equal(scaled["level"], base["level"])
+    assert np.array_equal(scaled["dx"], base["dx"] * 2.0**k)
+    assert np.array_equal(scaled["dt"], base["dt"] * 4.0**k)
+    assert np.array_equal(scaled["linf_error"], base["linf_error"] * 2.0**-k)
+    orders = [(tmp_path / str(scale) / "orders.txt").read_bytes() for scale in (0, k)]
+    assert orders[0] == orders[1]

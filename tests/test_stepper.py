@@ -90,6 +90,20 @@ def test_evolve_validates_snapshot_times(params, unit_state):
         evolve(f0, grid, unit_state, params, [-0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolve_refuses_non_finite_snapshot_times(params, unit_state, bad):
+    grid, f0 = _spread_setup(0.05, 0.01, 1.0, params, unit_state)
+    with pytest.raises(ValidationError, match="snapshot_times must be finite"):
+        evolve(f0, grid, unit_state, params, [0.0, bad])
+
+
+def test_evolve_refuses_snapshot_step_count_that_overflows(params, unit_state):
+    grid, f0 = _spread_setup(0.05, 0.01, 1.0, params, unit_state)
+    # (t - t0) / dt overflows to inf: refused as past the final step, not cast to an int
+    with pytest.raises(ValidationError, match="past the final step"):
+        evolve(f0, grid, unit_state, params, [0.0, 1e307])
+
+
 def test_evolve_requires_unit_mass(params, unit_state):
     grid, f0 = _spread_setup(0.05, 0.01, 1.0, params, unit_state)
     doubled = Field(time=0.0, values=2.0 * f0.values)
