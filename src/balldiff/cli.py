@@ -207,11 +207,13 @@ def run_convergence(
     sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
 
     levels = list(range(refinements + 1))
+    # every level is sized before any runs, so a refused level costs no compute
+    grids = [single_beam_grid(dataclasses.replace(cfg, dx=cfg.dx / 2**level,
+                                                  dt=cfg.dt / 4**level)) for level in levels]
     dxs, dts, errors = [], [], []
-    for level in levels:
-        grid, snaps, _ = _evolve_packet(dataclasses.replace(
-            cfg, dx=cfg.dx / 2**level, dt=cfg.dt / 4**level, snapshot_times=(cfg.t_final,)
-        ))
+    for level, grid in zip(levels, grids):
+        snaps, _ = evolve(sample_gaussian_field(cfg.state, grid), grid, cfg.state, cfg.params,
+                          (cfg.t_final,))
         exact = gaussian_pdf(grid.x, cfg.state.center, sigma_end)
         err = float(np.max(np.abs(snaps[-1].values - exact)))
         dxs.append(grid.dx)

@@ -4,17 +4,18 @@
 comparisons and re-parsing are bit-stable across platforms. Data files
 carry no timestamps or other run metadata.
 
-Every cell is written as ``"%.17g" % value``, but only cells that differ
-are formatted per row. A column whose float64 values all have the same
-bits (such as a snapshot's time) is formatted once and baked into the row
-format. A :class:`FormattedColumn` (such as a run's x axis, shared by
-every snapshot table) is formatted once when it is built and reused by
-each table it is passed to. Rows are then assembled by C-level joins, so
-the bytes are those of the per-cell format either way.
+Every cell is written as ``"%.17g" % value``, through one row format per
+table that a single ``%`` fills for each block of rows. A column whose
+float64 values all have the same bits (such as a snapshot's time) is
+formatted once and baked into the row format, which it cannot disturb:
+a float's text never contains ``%``. A :class:`FormattedColumn`
+(such as a run's x axis, shared by every snapshot table) is formatted once
+when it is built and fills a ``%s`` of each row. So the bytes are those of
+the per-cell format either way.
 """
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,8 @@ class FormattedColumn:
     """A float column formatted once, for a column several tables share.
 
     Holds one newline-joined string per :data:`_BLOCK_ROWS` rows rather
-    than one ``str`` per value. The text comes only from ``%.17g`` of
-    floats, so it never contains ``%`` and can be spliced into a format.
+    than one ``str`` per value; :func:`write_table` splits a block when it
+    writes that block's rows.
     """
 
     def __init__(self, values):
@@ -51,65 +52,60 @@ class FormattedColumn:
 def write_table(path, column_names: list[str], columns: list) -> None:
     """Write named columns; all columns must share one length (0 allowed).
 
-    A column is an array-like of floats or a :class:`FormattedColumn`. Makes missing directories.
+    A column is a 1-d array-like of floats or a :class:`FormattedColumn`.
+    Makes missing directories.
     """
     if len(column_names) != len(columns):
         raise ValidationError("one name per column required")
     cols = [c if isinstance(c, FormattedColumn) else np.asarray(c, dtype=np.float64)
             for c in columns]
+    if any(not isinstance(c, FormattedColumn) and c.ndim != 1 for c in cols):
+        raise ValidationError("table columns must be 1-d")
     lengths = {len(c) for c in cols}
     if len(lengths) > 1:
         raise ValidationError(f"columns have differing lengths {sorted(lengths)}")
     n = len(cols[0]) if cols else 0
 
-    # The row is statics[0] + text_0 + statics[1] + text_1 + ... + statics[-1],
-    # with the formatted columns' text between the static pieces.
-    statics = [""]
-    texts: list[FormattedColumn] = []
-    floats: list[np.ndarray] = []  # formatted per cell, in row order
-    for j, c in enumerate(cols):
-        sep = " " if j else ""
-        if isinstance(c, FormattedColumn):
-            statics[-1] += sep
-            texts.append(c)
-            statics.append("")
-            continue
-        bits = c.view(np.uint64)  # bitwise: -0.0 is not 0.0, NaN payloads differ
-        if n and (bits == bits[0]).all():
-            statics[-1] += sep + "%.17g" % c[0]
+    items, cells = [], []  # the row format's item per column; the columns that fill items
+    for c in cols:
+        formatted = isinstance(c, FormattedColumn)
+        bits = None if formatted else c.view(np.uint64)  # -0.0 is not 0.0, NaN payloads differ
+        if not formatted and n and (bits == bits[0]).all():
+            items.append("%.17g" % c[0])  # baked in
         else:
-            statics[-1] += sep + "%.17g"
-            floats.append(c)
-    statics[-1] += "\n"
+            items.append("%s" if formatted else "%.17g")
+            cells.append(c)
+    row = " ".join(items) + "\n"
 
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("# " + " ".join(column_names) + "\n")
         for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
             rows = min(_BLOCK_ROWS, n - start)
-            if texts:
-                pieces = [repeat(statics[0])]
-                for text, static in zip(texts, statics[1:]):
-                    pieces += [text._blocks[b].split("\n"), repeat(static)]
-                line = "".join(chain.from_iterable(zip(*pieces)))
-            else:
-                line = statics[0] * rows
-            cells = [c[start:start + rows] for c in floats]
-            fh.write(line % (tuple(np.column_stack(cells).ravel().tolist()) if cells else ()))
+            block = [c._blocks[b].split("\n") if isinstance(c, FormattedColumn)
+                     else c[start:start + rows].tolist() for c in cells]
+            fh.write((row * rows) % tuple(chain.from_iterable(zip(*block))))
 
 
 def read_table(path) -> tuple[list[str], np.ndarray]:
-    """Parse a table back into (column_names, data) with data shaped (rows, cols)."""
+    """Parse a table back into (column_names, data) with data shaped (rows, cols).
+
+    Refuses a table without its header line, and a row that does not hold one
+    number per header name, naming the file and the row.
+    """
     path = Path(path)
-    text = path.read_text()
-    lines = text.splitlines()
+    lines = path.read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ValidationError(f"{path}: missing '#' header line")
     names = lines[0][1:].split()
-    rows = [line.split() for line in lines[1:] if line.strip()]
-    if not rows:
+    body = lines[1:]
+    if not any(line.strip() for line in body):  # loadtxt warns on no rows
         return names, np.empty((0, len(names)))
-    data = np.array([[float(v) for v in row] for row in rows])
+    try:
+        data = np.loadtxt(body, comments=None, ndmin=2)
+    except ValueError as exc:  # a ragged row, or a cell that is not a number
+        # numpy's message names the row; its hint after ';' (to pass usecols) does not apply
+        raise ValidationError(f"{path}: {str(exc).split(';')[0]}") from None
     if data.shape[1] != len(names):
         raise ValidationError(
             f"{path}: {data.shape[1]} data columns but {len(names)} header names"

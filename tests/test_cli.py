@@ -232,6 +232,25 @@ def test_convergence_run_and_orders(tmp_path):
     assert np.all(orders[:, 1] <= 2.3)
 
 
+@pytest.mark.parametrize("extra, args, reason", [
+    ("nx_cap = 500\n", [], "grid would need 897 nodes (cap 500)"),
+    ("", ["--refinements", "9"], "macro steps (cap "),
+], ids=["nx_cap", "macro_step_cap"])
+def test_convergence_refuses_a_level_before_any_level_runs(tmp_path, capsys, monkeypatch,
+                                                           extra, args, reason):
+    def evolve(*_):
+        pytest.fail("a convergence level ran before every level was sized")
+
+    monkeypatch.setattr(cli, "evolve", evolve)
+    text = (CONFIGS / "convergence.cfg").read_text().replace("[grid]\n", "[grid]\n" + extra)
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--quiet", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err, err
+    assert not out.exists()
+
+
 def test_convergence_rejects_single_refinement(tmp_path, capsys):
     assert main(["convergence", "--config", _cfg(tmp_path, BASE), "--out",
                  str(tmp_path / "o"), "--refinements", "1"]) == 1
@@ -774,8 +793,10 @@ def test_configured_directory_that_is_a_file_reported(tmp_path, capsys):
 
 
 _NX_CAP_5 = BASE + "nx_cap = 5\n"
+# convergence sizes all four levels before level 0 meets the pass cap: a span of 5 keeps
+# level 3 (4.0e6 nodes) under the default nx_cap
 _PASS_CAP = (BASE.replace("dx = 0.1", "dx = 0.001").replace("dt = 0.05", "dt = 0.1")
-             .replace("t_final = 1.0", "t_final = 100"))
+             .replace("t_final = 1.0", "t_final = 100\nsafety_span = 5.0"))
 
 
 @pytest.mark.parametrize("command", ["spread", "trajectories", "convergence", "doubleslit"])

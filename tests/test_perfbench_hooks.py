@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import balldiff.cli as cli
-from balldiff.config import load_config
+from balldiff.config import load_config, load_raw
 
 REPO = Path(__file__).resolve().parent.parent
 SPANS = REPO / "perfbench" / "spans.py"
@@ -28,14 +28,21 @@ def test_benchmark_trace_targets_resolve():
 
 
 def test_traced_table_counts_cover_every_file_written(tmp_path):
-    """Every table of spread and doubleslit goes through the traced write_table."""
+    """Every table of spread, doubleslit, convergence and a one-worker sweep goes through
+    the traced write_table."""
+    configs = REPO / "configs"
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
-        cli.run_spread(load_config(REPO / "configs" / "spread.cfg"), tmp_path / "spread",
-                       quiet=True)
-        cli.run_doubleslit(load_config(REPO / "configs" / "doubleslit.cfg"),
-                           tmp_path / "doubleslit", quiet=True)
+        assert cli.run_spread(load_config(configs / "spread.cfg"), tmp_path / "spread",
+                              quiet=True) == 0
+        assert cli.run_doubleslit(load_config(configs / "doubleslit.cfg"),
+                                  tmp_path / "doubleslit", quiet=True) == 0
+        assert cli.run_convergence(load_config(configs / "convergence.cfg"),
+                                   tmp_path / "convergence", quiet=True) == 0
+        sweep = configs / "sweep_dvx.cfg"
+        assert cli.run_sweep(load_raw(sweep), str(sweep), tmp_path / "sweep", workers=1,
+                             quiet=True) == 0
     finally:
         tracer.restore()
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())

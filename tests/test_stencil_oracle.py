@@ -1,0 +1,116 @@
+"""The explicit scheme solved exactly, as an oracle for the schedule and both kernels.
+
+Every pass multiplies the interior by I + nu L with the same tridiagonal L
+(held edges), so the passes commute and are diagonal in the interior's sine
+basis. After the linear profile between the two held edge values is taken
+out, sine mode k of N interior nodes is multiplied by
+1 - 4 nu sin^2(k pi / (2 (N + 1))) per pass. The oracle computes every nu
+itself, from D_t = D^2 t / sigma0^2 at each substep's end and the substep
+rule of the stepper's docstring, so a wrong schedule fails it as much as a
+wrong kernel does. It does not depend on the kernels' operation order.
+"""
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import balldiff.stepper as stepper
+from balldiff import GaussianState
+from balldiff.cli import _evolve_packet
+from balldiff.config import double_slit_grid, load_config
+from balldiff.stepper import STABILITY_TARGET, march, sample_gaussian_field
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _end_time_nus(n_macro, dt, dx, sigma0, diffusivity):
+    """nu of every pass, and the passes done after each macro step.
+
+    Each macro step takes the fewest equal substeps that keep the nu of its
+    end time at or below the stability target; each substep's nu is
+    D_t dt_sub / dx^2 with D_t evaluated at that substep's end.
+    """
+    nus, pass_end = [], []
+    for m in range(n_macro):
+        nu_end = diffusivity**2 * ((m + 1) * dt) / sigma0**2 * dt / dx**2
+        n_sub = max(math.ceil(nu_end / STABILITY_TARGET - 1e-12), 1)
+        sub_dt = dt / n_sub
+        for k in range(1, n_sub + 1):
+            t_end = m * dt + k * sub_dt
+            nus.append(diffusivity**2 * t_end / sigma0**2 * sub_dt / dx**2)
+        pass_end.append(len(nus))
+    return np.array(nus), pass_end
+
+
+def _sine_oracle(values, nus, stops):
+    """``values`` of shape (nx,) or (rows, nx) after ``nus[:stop]`` for each stop."""
+    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    nx = v.shape[-1]
+    n = nx - 2
+    along = np.linspace(0.0, 1.0, nx)
+    linear = v[:, :1] + (v[:, -1:] - v[:, :1]) * along
+    # sin(pi j k / (N + 1)) with j k reduced exactly, modulo its period, before the sine
+    jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * (n + 1))
+    sines = np.sin(np.pi * jk / (n + 1))
+    modes = (v - linear)[:, 1:-1] @ sines * (2.0 / (n + 1))
+    shrink = 4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
+    gain = np.ones(n)
+    out, done = [], 0
+    for stop in stops:
+        for nu in nus[done:stop]:
+            gain *= 1.0 - nu * shrink
+        done = stop
+        interior = linear[:, 1:-1] + (modes * gain) @ sines
+        out.append(np.concatenate([v[:, :1], interior, v[:, -1:]], axis=1).reshape(
+            np.shape(values)))
+    return out
+
+
+def _snapshot_stops(times, dt, pass_end):
+    return [pass_end[round(t / dt) - 1] if round(t / dt) else 0 for t in times]
+
+
+def _ulps_of_peak(got, want, peak):
+    return float(np.max(np.abs(got - want)) / np.spacing(peak))
+
+
+#: Largest oracle mismatch, in ulps of the initial peak, over the snapshots of a run.
+#: Measured on either kernel: 6 (trajectories.cfg) and 8 (doubleslit.cfg).
+_ULPS = 32
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+def test_flux_line_run_matches_sine_basis_oracle(monkeypatch, kernel):
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    cfg = load_config(CONFIGS / "trajectories.cfg")
+    grid, snaps, report = _evolve_packet(cfg)
+    n_macro = round(snaps[-1].time / grid.dt)
+    nus, pass_end = _end_time_nus(n_macro, grid.dt, grid.dx, cfg.state.sigma0,
+                                  cfg.params.diffusivity)
+    assert report.total_substeps == nus.size
+    initial = sample_gaussian_field(cfg.state, grid).values
+    want = _sine_oracle(initial, nus, _snapshot_stops([s.time for s in snaps], grid.dt,
+                                                        pass_end))
+    worst = max(_ulps_of_peak(s.values, w, initial.max()) for s, w in zip(snaps, want))
+    assert worst <= _ULPS, worst
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+def test_two_beam_rows_match_sine_basis_oracle(monkeypatch, kernel):
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    cfg = load_config(CONFIGS / "doubleslit.cfg")
+    grid = double_slit_grid(cfg)
+    half = 0.5 * cfg.slits.separation
+    initial = np.stack([sample_gaussian_field(GaussianState(sigma0=cfg.slits.sigma0, center=c),
+                                              grid).values for c in (-half, half)])
+    snaps, report = march(initial, 0.0, grid, cfg.slits.sigma0, cfg.params.diffusivity,
+                          cfg.snapshot_times)
+    n_macro = round(snaps[-1][0] / grid.dt)
+    nus, pass_end = _end_time_nus(n_macro, grid.dt, grid.dx, cfg.slits.sigma0,
+                                  cfg.params.diffusivity)
+    assert report.total_substeps == nus.size
+    want = _sine_oracle(initial, nus, _snapshot_stops([t for t, _ in snaps], grid.dt,
+                                                        pass_end))
+    worst = max(_ulps_of_peak(v, w, initial.max()) for (_, v), w in zip(snaps, want))
+    assert worst <= _ULPS, worst

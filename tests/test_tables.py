@@ -1,5 +1,6 @@
 """Table serialization: exact float round-trips and header handling."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,13 @@ def test_write_rejects_ragged_columns(tmp_path):
         write_table(tmp_path / "r.txt", ["a"], [[1.0], [2.0]])
 
 
+@pytest.mark.parametrize("column", [np.zeros((3, 2)), 5.0], ids=["2d", "scalar"])
+def test_write_rejects_column_that_is_not_1d(tmp_path, column):
+    with pytest.raises(ValidationError, match="must be 1-d"):
+        write_table(tmp_path / "c.txt", ["a"], [column])
+    assert not (tmp_path / "c.txt").exists()
+
+
 def test_read_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0 2.0\n")
@@ -93,6 +101,16 @@ def test_read_rejects_column_count_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# a b\n1.0 2.0 3.0\n")
     with pytest.raises(ValidationError):
+        read_table(path)
+
+
+@pytest.mark.parametrize("text", [
+    "# a b\n1 2\n3\n", "# a b\n1 2\n\n3 4\n5 6 7\n", "# a b\n1 x\n", "# a b\n1 2\n# c d\n",
+], ids=["ragged", "ragged_after_blank", "not_a_number", "comment_row"])
+def test_read_names_file_and_row_of_bad_row(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: .* at row \d+"):
         read_table(path)
 
 
