@@ -29,7 +29,7 @@ from .config import (
 from .core import grid_spanning  # noqa: F401  (unused: kept bound for perfbench/spans.py)
 from .errors import BalldiffError, ConfigError, ValidationError
 from .interference import detect_fringe_maxima, fringe_spacing, simulate_double_slit
-from .stepper import evolve, sample_gaussian_field, second_moment_sigma
+from .stepper import count_passes, evolve, sample_gaussian_field, second_moment_sigma
 from .tables import FormattedColumn, read_table, write_table
 from .trajectories import trace_flux_lines
 
@@ -204,12 +204,14 @@ def run_convergence(
         raise ValidationError("convergence study needs t_final > 0")
     out_dir = Path(out_dir)
 
-    sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
-
     levels = list(range(refinements + 1))
-    # every level is sized before any runs, so a refused level costs no compute
+    # each level is sized, its passes counted, before any runs: a refused level costs nothing
     grids = [single_beam_grid(dataclasses.replace(cfg, dx=cfg.dx / 2**level,
                                                   dt=cfg.dt / 4**level)) for level in levels]
+    for grid in grids:
+        count_passes(grid, cfg.state, cfg.params, (cfg.t_final,))
+    # finite once level 0 is sized: single_beam_grid refuses a spread past the float range
+    sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
     dxs, dts, errors = [], [], []
     for level, grid in zip(levels, grids):
         snaps, _ = evolve(sample_gaussian_field(cfg.state, grid), grid, cfg.state, cfg.params,
@@ -221,7 +223,9 @@ def run_convergence(
         errors.append(err)
         _say(quiet, f"convergence: level {level} dx={grid.dx:g} dt={grid.dt:g} err={err:.3e}")
 
-    orders = [math.log2(errors[i - 1] / errors[i]) for i in levels[1:]]
+    # a level whose error is exactly 0 has no observed order: nan, outside the window
+    orders = [math.log2(errors[i - 1] / errors[i]) if min(errors[i - 1:i + 1]) > 0.0
+              else math.nan for i in levels[1:]]
     write_table(
         out_dir / "convergence.txt",
         ["level", "dx", "dt", "linf_error"],

@@ -29,37 +29,38 @@ from .errors import ConfigError
 from .analytic import analytic_sigma
 from .interference import fringe_spacing, required_half_width
 
-# section -> key -> type tag ("float", "int", "bool", "floats", "str")
-SCHEMA: dict[str, dict[str, str]] = {
-    "physical": {"hbar": "float", "mass": "float"},
-    "packet": {"sigma0": "float", "center": "float"},
-    "grid": {
-        "dx": "float",
-        "points_per_sigma0": "int",
-        "dt": "float",
-        "t_final": "float",
-        "safety_span": "float",
-        "nx_cap": "int",
-    },
-    "slits": {"separation": "float", "v1": "float", "v2": "float", "dvx": "float"},
-    "trajectories": {"quantiles": "floats", "v_y": "float"},
-    "output": {
-        "directory": "str",
-        "snapshot_times": "floats",
-        "normalize_total": "bool",
-        "sigma_rel_tol": "float",
-        "homothety_tol": "float",
-        "fringe_cell_tol": "float",
-    },
+#: ``sigma0**2`` divides the spreading law, so it must neither overflow nor underflow.
+_SIGMA0_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+
+#: section -> key -> (type tag, *domain). Type tags are "float", "int", "bool", "floats"
+#: (a comma list) and "str". A domain is (">" or ">=", bound) or ("[]" or "()", low, high);
+#: it holds for every entry of a list, and ``_parse`` enforces it.
+SCHEMA: dict[str, dict[str, tuple]] = {
+    "physical": {"hbar": ("float", ">", 0), "mass": ("float", ">", 0)},
+    "packet": {"sigma0": ("float", "[]", *_SIGMA0_RANGE), "center": ("float",)},
+    "grid": {"dx": ("float", ">", 0), "points_per_sigma0": ("int", ">=", 8),
+             "dt": ("float", ">", 0), "t_final": ("float", ">=", 0),
+             "safety_span": ("float", ">=", MIN_SAFETY_SPAN), "nx_cap": ("int",)},
+    "slits": {"separation": ("float", ">", 0), "v1": ("float",), "v2": ("float",),
+              "dvx": ("float",)},
+    "trajectories": {"quantiles": ("floats", "()", 0, 1), "v_y": ("float",)},
+    "output": {"directory": ("str",), "snapshot_times": ("floats", ">=", 0),
+               "normalize_total": ("bool",), "sigma_rel_tol": ("float",),
+               "homothety_tol": ("float",), "fringe_cell_tol": ("float",)},
     "sweep": {},  # validated separately: command plus dotted config keys
+}
+
+#: domain operator -> (membership test, rule the refusal states), both taking the bounds
+_DOMAINS = {
+    ">": (lambda v, b: v > b, "be > {0:.3g}"),
+    ">=": (lambda v, b: v >= b, "be >= {0:.3g}"),
+    "[]": (lambda v, lo, hi: lo <= v <= hi, "lie in [{0:.3g}, {1:.3g}]"),
+    "()": (lambda v, lo, hi: lo < v < hi, "lie in ({0:.3g}, {1:.3g})"),
 }
 
 #: Largest float spacing, in cells, at the outer nodes of a single-beam grid: every
 #: node then rounds by under a thousandth of a cell, far inside the run's tolerances.
 _FLOAT_SPACING_MAX = 2.0**-10
-
-#: ``sigma0**2`` divides the spreading law, so it must neither overflow nor underflow.
-_SIGMA0_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 #: The diffusion coefficient squares the diffusivity, so it must not overflow.
 _DIFFUSIVITY_MAX = math.sqrt(sys.float_info.max)
@@ -117,41 +118,48 @@ def _items(text: str) -> list[str]:
     return [s for s in (p.strip() for p in text.split(",")) if s]
 
 
-def _parse(kind: str, text: str, where: str):
+def _parse(spec: tuple, text: str, where: str):
+    """``text`` as a value of the SCHEMA entry ``spec``: its type, then its domain."""
+    kind, *domain = spec
+    if kind == "floats":  # each entry parses, and is refused, as a float of the same domain
+        items = _items(text)
+        if not items:
+            raise ConfigError(f"{where}: empty list")
+        return tuple(_parse(("float", *domain), s, where) for s in items)
     try:
         if kind == "float":
             value = float(text)
             if not math.isfinite(value):
                 raise ValueError("not finite")
-            return value
-        if kind == "int":
+        elif kind == "int":
             value = int(text)
             if abs(value) > sys.float_info.max:  # int keys meet floats: dx = sigma0 / n
                 raise ValueError("beyond the float range")
-            return value
-        if kind == "bool":
+        elif kind == "bool":
             word = text.strip().lower()
             if word not in _BOOL_WORDS:
                 raise ValueError(f"expected true/false, got {text!r}")
             return _BOOL_WORDS[word]
-        if kind == "floats":
-            items = _items(text)
-            if not items:
-                raise ValueError("empty list")
-            return tuple(_parse("float", s, where) for s in items)
-        return text.strip()
+        else:
+            return text.strip()
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if domain:
+        op, *bounds = domain
+        inside, rule = _DOMAINS[op]
+        if not inside(value, *bounds):
+            raise ConfigError(f"{where} must {rule.format(*bounds)}, got {value!r}")
+    return value
 
 
 def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
-    """Type-check the raw key/value maps and assemble a RunConfig."""
+    """A RunConfig: every value is parsed within its domain before the rules tying keys run."""
+    parsed = {(section, key): _parse(spec, raw[section][key], f"{origin}: [{section}] {key}")
+              for section, specs in SCHEMA.items() for key, spec in specs.items()
+              if key in raw.get(section, {})}
 
     def val(section, key, default=None):
-        text = raw.get(section, {}).get(key)
-        if text is None:
-            return default
-        return _parse(SCHEMA[section][key], text, f"{origin}: [{section}] {key}")
+        return parsed.get((section, key), default)
 
     params = make_physical_params(val("physical", "hbar", 1.0), val("physical", "mass", 1.0))
     if not (0.0 < params.diffusivity <= _DIFFUSIVITY_MAX):
@@ -161,33 +169,18 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
             f"{params.diffusivity!r} from hbar = {params.hbar!r}, mass = {params.mass!r}"
         )
     state = GaussianState(sigma0=val("packet", "sigma0", 1.0), center=val("packet", "center", 0.0))
-    lo, hi = _SIGMA0_RANGE
-    if not (lo <= state.sigma0 <= hi):
-        raise ConfigError(
-            f"{origin}: [packet] sigma0 must lie in [{lo:.3g}, {hi:.3g}], got {state.sigma0!r}"
-        )
 
-    dt = val("grid", "dt")
-    t_final = val("grid", "t_final")
+    dt, t_final = val("grid", "dt"), val("grid", "t_final")
     if dt is None or t_final is None:
         raise ConfigError(f"{origin}: [grid] dt and t_final are required")
-    if dt <= 0.0 or t_final < 0.0:
-        raise ConfigError(f"{origin}: [grid] needs dt > 0 and t_final >= 0")
 
-    dx = val("grid", "dx")
-    pps = val("grid", "points_per_sigma0")
+    dx, pps = val("grid", "dx"), val("grid", "points_per_sigma0")
     if dx is not None and pps is not None:
         raise ConfigError(f"{origin}: [grid] give dx or points_per_sigma0, not both")
-    if pps is not None and pps < 8:
-        raise ConfigError(f"{origin}: [grid] points_per_sigma0 must be >= 8, got {pps}")
     if dx is None:
         dx = state.sigma0 / (pps if pps is not None else 16)
-    if dx <= 0.0:
-        raise ConfigError(f"{origin}: [grid] dx must be positive")
 
     safety_span = val("grid", "safety_span", 10.0)
-    if safety_span < MIN_SAFETY_SPAN:
-        raise ConfigError(f"{origin}: [grid] safety_span must be >= {MIN_SAFETY_SPAN:g}")
     nx_cap = val("grid", "nx_cap", DEFAULT_NX_CAP)
 
     slits = None
@@ -195,19 +188,14 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
         separation = val("slits", "separation")
         if separation is None:
             raise ConfigError(f"{origin}: [slits] separation is required")
-        v1, v2, dvx = val("slits", "v1"), val("slits", "v2"), val("slits", "dvx")
+        v1, v2, dvx = val("slits", "v1", 0.0), val("slits", "v2", 0.0), val("slits", "dvx")
         if dvx is not None:
-            if v1 is not None or v2 is not None:
+            if raw["slits"].keys() & {"v1", "v2"}:
                 raise ConfigError(f"{origin}: [slits] give either dvx or v1/v2, not both")
             v1, v2 = 0.5 * dvx, -0.5 * dvx
-        else:
-            v1 = 0.0 if v1 is None else v1
-            v2 = 0.0 if v2 is None else v2
         slits = SlitConfig(separation=separation, sigma0=state.sigma0, v1=v1, v2=v2)
 
     quantiles = val("trajectories", "quantiles", tuple(i / 10 for i in range(1, 10)))
-    if any(not (0.0 < q < 1.0) for q in quantiles):
-        raise ConfigError(f"{origin}: [trajectories] quantiles must lie in (0, 1)")
     if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
         raise ConfigError(f"{origin}: [trajectories] quantiles must be strictly increasing")
 
@@ -215,8 +203,6 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
     if snapshot_times is None:
         count = 5
         snapshot_times = tuple(sorted({t_final * (i / (count - 1)) for i in range(count)}))
-    if any(t < 0.0 for t in snapshot_times):
-        raise ConfigError(f"{origin}: [output] snapshot_times must be >= 0")
     if any(b < a for a, b in zip(snapshot_times, snapshot_times[1:])):
         raise ConfigError(f"{origin}: [output] snapshot_times must be sorted")
     if snapshot_times and max(snapshot_times) > t_final * (1.0 + 1e-12):
@@ -266,14 +252,14 @@ def sweep_points(raw: dict[str, dict[str, str]], origin: str, commands):
         if dotted == "command":
             continue
         section, _, key = dotted.partition(".")
-        kind = SCHEMA.get(section, {}).get(key)
-        if not key or kind is None:
+        spec = SCHEMA.get(section, {}).get(key)
+        if not key or spec is None:
             raise ConfigError(f"{origin}: [sweep] unknown target {dotted!r}")
-        if kind not in ("float", "int"):
-            raise ConfigError(f"{origin}: [sweep] cannot sweep {kind} key {dotted!r}")
+        if spec[0] not in ("float", "int"):
+            raise ConfigError(f"{origin}: [sweep] cannot sweep {spec[0]} key {dotted!r}")
         if not _items(text):
             raise ConfigError(f"{origin}: [sweep] {dotted} has no values")
-        axes[section, key] = [(s, _parse(kind, s, f"{origin}: [sweep] {dotted}"))
+        axes[section, key] = [(s, _parse(spec, s, f"{origin}: [sweep] {dotted}"))
                               for s in _items(text)]
     if not axes:
         raise ConfigError(f"{origin}: [sweep] no parameters to sweep")

@@ -188,7 +188,7 @@ def grid_spanning(
     n_half = half_width_min / dx
     if math.isfinite(n_half):  # ceil cannot take inf; the cap check refuses it
         n_half = max(1, math.ceil(n_half))
-    nx = 2 * n_half + 1
+    nx = 2.0 * n_half + 1  # a float, so a count past the float range reads inf
     if nx > nx_cap:
         raise ResourceLimitError(
             f"grid would need {nx:.15g} nodes (cap {nx_cap}); "

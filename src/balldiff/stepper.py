@@ -81,6 +81,25 @@ def _snap_indices(snapshot_times, grid: Grid1D, t0: float) -> list[int]:
     return [int(i) for i in steps]
 
 
+def _substep_counts(t0: float, n_macro: int, grid: Grid1D, sigma0: float,
+                    diffusivity: float) -> np.ndarray:
+    """Substeps per macro step, the fewest that keep its end-time ``nu`` at or below
+    :data:`STABILITY_TARGET`; refuses a run over :data:`MAX_PASSES` passes."""
+    t_end = t0 + np.arange(1, n_macro + 1) * grid.dt
+    nu_end = diffusion_coefficient(t_end, sigma0, diffusivity) * grid.dt / grid.dx**2
+    n_sub = np.maximum(np.ceil(nu_end / STABILITY_TARGET - 1e-12), 1.0)
+    if not n_sub.sum() <= MAX_PASSES:  # also refuses nan
+        raise ResourceLimitError(f"run would need {n_sub.sum():.3g} stencil passes "
+                                 f"(cap {MAX_PASSES}); raise dx or shorten t_final")
+    return n_sub.astype(np.int64)
+
+
+def count_passes(grid: Grid1D, state: GaussianState, params: PhysicalParams, times) -> int:
+    """Stencil passes :func:`evolve` runs from t = 0 to ``times``, refused as it refuses them."""
+    n_macro = max(_snap_indices(times, grid, 0.0))
+    return int(_substep_counts(0.0, n_macro, grid, state.sigma0, params.diffusivity).sum())
+
+
 def _substep_schedule(
     t0: float, n_macro: int, grid: Grid1D, sigma0: float, diffusivity: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -92,23 +111,14 @@ def _substep_schedule(
     picks its count, then ``nu`` is evaluated at every substep end.
     """
     dt = grid.dt
-    dx2 = grid.dx**2
     m = np.arange(n_macro)  # macro step number minus one
-    nu_end = diffusion_coefficient(t0 + (m + 1) * dt, sigma0, diffusivity) * dt / dx2
-    n_sub = np.maximum(np.ceil(nu_end / STABILITY_TARGET - 1e-12), 1.0)
-    total = n_sub.sum()
-    if not total <= MAX_PASSES:  # also refuses nan
-        raise ResourceLimitError(
-            f"run would need {total:.3g} stencil passes (cap {MAX_PASSES}); "
-            "raise dx or shorten t_final"
-        )
-    n_sub = n_sub.astype(np.int64)
+    n_sub = _substep_counts(t0, n_macro, grid, sigma0, diffusivity)
     sub_dt = dt / n_sub
     pass_end = np.cumsum(n_sub)
     step = np.repeat(m, n_sub)  # macro step of each pass
     k = np.arange(1, step.size + 1) - (pass_end - n_sub)[step]  # 1..n_sub per step
     sub_ends = (t0 + m * dt)[step] + sub_dt[step] * k
-    nus = diffusion_coefficient(sub_ends, sigma0, diffusivity) * (sub_dt / dx2)[step]
+    nus = diffusion_coefficient(sub_ends, sigma0, diffusivity) * (sub_dt / grid.dx**2)[step]
     return pass_end, nus
 
 

@@ -2,7 +2,10 @@
 import concurrent.futures
 import contextlib
 import io
+import math
 import os
+import random
+import struct
 import subprocess
 import sys
 import tempfile
@@ -11,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import balldiff
 import balldiff.cli as cli
@@ -232,16 +233,20 @@ def test_convergence_run_and_orders(tmp_path):
     assert np.all(orders[:, 1] <= 2.3)
 
 
-@pytest.mark.parametrize("extra, args, reason", [
-    ("nx_cap = 500\n", [], "grid would need 897 nodes (cap 500)"),
-    ("", ["--refinements", "9"], "macro steps (cap "),
-], ids=["nx_cap", "macro_step_cap"])
+@pytest.mark.parametrize("extra, args, max_passes, reason", [
+    ("nx_cap = 500\n", [], None, "grid would need 897 nodes (cap 500)"),
+    ("", ["--refinements", "9"], None, "macro steps (cap "),
+    # levels 0-2 take 20, 80 and 320 passes, level 3 takes 1,280
+    ("", [], 1000, "run would need 1.28e+03 stencil passes (cap 1000)"),
+], ids=["nx_cap", "macro_step_cap", "pass_cap"])
 def test_convergence_refuses_a_level_before_any_level_runs(tmp_path, capsys, monkeypatch,
-                                                           extra, args, reason):
+                                                           extra, args, max_passes, reason):
     def evolve(*_):
         pytest.fail("a convergence level ran before every level was sized")
 
     monkeypatch.setattr(cli, "evolve", evolve)
+    if max_passes is not None:
+        monkeypatch.setattr(stepper, "MAX_PASSES", max_passes)
     text = (CONFIGS / "convergence.cfg").read_text().replace("[grid]\n", "[grid]\n" + extra)
     out = tmp_path / "o"
     assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
@@ -255,6 +260,18 @@ def test_convergence_rejects_single_refinement(tmp_path, capsys):
     assert main(["convergence", "--config", _cfg(tmp_path, BASE), "--out",
                  str(tmp_path / "o"), "--refinements", "1"]) == 1
     assert "refinements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pps", [8, 10], ids=["zero_over_zero", "zero_over_nonzero"])
+def test_convergence_with_an_error_of_zero_reports_no_order(tmp_path, capsys, pps):
+    # a packet this heavy does not spread: some levels match the exact Gaussian to the bit
+    text = f"[physical]\nmass = 1e300\n[grid]\npoints_per_sigma0 = {pps}\ndt = 1.0\nt_final = 0.1\n"
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: observed order nan outside [1.7, 2.3]\n"
+    _, orders = read_table(out / "orders.txt")
+    assert np.isnan(orders[:, 1]).all()
 
 
 def test_sweep_single_point_matches_direct_run(tmp_path):
@@ -323,14 +340,15 @@ def test_sweep_failing_point_recorded(tmp_path):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_failed_point_reports_its_reason(tmp_path, capsys, workers):
-    text = BASE.replace("dx = 0.1\n", "") + (
-        "\n[sweep]\ncommand = spread\ngrid.points_per_sigma0 = 3, 16\n")
+    # point 000 parses, and its grid is refused only when the point runs
+    text = BASE + "\n[sweep]\ncommand = spread\ngrid.nx_cap = 5, 100000\n"
     out = tmp_path / "out"
     assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet",
                  "--workers", workers]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("error: point 000: ")
-    assert err[0].endswith("points_per_sigma0 must be >= 8, got 3")
+    assert err[0].endswith("grid would need 225 nodes (cap 5); "
+                           "coarsen dx, shorten t_final, or lower safety_span")
     assert err[1:] == ["error: 1 of 2 sweep points failed"]
 
 
@@ -388,7 +406,9 @@ _FULL = {
     "trajectories": {"v_y": "1.0"},
     "output": {"sigma_rel_tol": "0.1", "homothety_tol": "0.1", "fringe_cell_tol": "1.0"},
 }
-_EXCLUSIVE = {"points_per_sigma0": "dx", "v1": "dvx", "v2": "dvx"}
+#: The keys a config may not give together with each key.
+_RIVALS = {"dx": ("points_per_sigma0",), "points_per_sigma0": ("dx",),
+           "dvx": ("v1", "v2"), "v1": ("dvx",), "v2": ("dvx",)}
 #: Valid text for each numeric key, written in varied forms.
 _VALID = {
     "hbar": "5e-1", "mass": "2", "sigma0": "1.5", "center": "-0.25", "dx": "0.125",
@@ -397,7 +417,7 @@ _VALID = {
     "v_y": "2.0", "sigma_rel_tol": "1e-2", "homothety_tol": "0.02", "fringe_cell_tol": "0.5",
 }
 _NUMERIC_KEYS = [(section, key, kind) for section, keys in config.SCHEMA.items()
-                 for key, kind in keys.items() if kind in ("float", "int")]
+                 for key, (kind, *_) in keys.items() if kind in ("float", "int")]
 
 
 def _ini(raw):
@@ -407,7 +427,8 @@ def _ini(raw):
 
 def _full_raw(section, key):
     raw = {s: dict(kv) for s, kv in _FULL.items()}
-    raw[section].pop(_EXCLUSIVE.get(key), None)
+    for rival in _RIVALS.get(key, ()):
+        raw[section].pop(rival, None)
     return raw
 
 
@@ -428,9 +449,19 @@ def test_one_value_sweep_builds_the_plain_config(tmp_path, section, key, kind):
     assert value == float(_VALID[key])
 
 
+#: Text outside the domain of each scalar key that declares one.
+_OUT_OF_DOMAIN = {"hbar": "0", "mass": "-1", "sigma0": "-1", "dx": "-0.1",
+                  "points_per_sigma0": "3", "dt": "0", "t_final": "-1", "safety_span": "4",
+                  "separation": "0"}
 _REFUSED = [(section, key, text) for section, key, kind in _NUMERIC_KEYS
             for text in (("8.0", "1e3", "abc", "1" + "0" * 400) if kind == "int"
-                         else ("nan", "inf", "-inf", "abc"))]
+                         else ("nan", "inf", "-inf", "abc"))
+            + ((_OUT_OF_DOMAIN[key],) if key in _OUT_OF_DOMAIN else ())]
+
+
+def test_every_scalar_domain_has_an_out_of_domain_text():
+    assert set(_OUT_OF_DOMAIN) == {key for section, key, _ in _NUMERIC_KEYS
+                                   if len(config.SCHEMA[section][key]) > 1}
 
 
 @pytest.mark.parametrize("section, key, text", _REFUSED)
@@ -460,8 +491,9 @@ def test_non_finite_list_entry_refused(tmp_path, capsys, command, section, key, 
     cfg = BASE + SLITS + f"\n[{section}]\n{key} = {text}\n"
     out = tmp_path / "o"
     assert main([command, "--config", _cfg(tmp_path, cfg), "--out", str(out), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"[{section}] {key}: not finite" in err
+    # the list's location is named once, not once per enclosing parse
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'run.cfg'}: [{section}] {key}: not finite\n")
     assert not out.exists()
 
 
@@ -503,8 +535,9 @@ def test_sigma0_out_of_range_reported(tmp_path, sigma0, dx):
     assert "Traceback" not in err and "Warning" not in err
 
 
-@pytest.mark.parametrize("command, extra", [("spread", ""), ("doubleslit", SLITS)],
-                         ids=["spread", "doubleslit"])
+@pytest.mark.parametrize("command, extra", [("spread", ""), ("doubleslit", SLITS),
+                                            ("convergence", "")],
+                         ids=["spread", "doubleslit", "convergence"])
 def test_overflowing_spread_of_huge_t_final_names_the_key(tmp_path, command, extra):
     text = BASE.replace("t_final = 1.0", "t_final = 1e308") + extra
     status, err = _cli_in_subprocess(tmp_path, text, command)
@@ -579,38 +612,125 @@ def test_doubleslit_phase_the_grid_cannot_hold_names_the_keys(tmp_path, capsys, 
 
 
 _EXTREMES = [0.0, 5e-324, 1e-308, 1e-300, 1e-154, 1e154, 1e300, 1e308, 1.7976931348623157e308]
-# any finite float, the float range's edges of either sign, and magnitudes a run can take
-_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
-           | st.sampled_from(_EXTREMES + [-v for v in _EXTREMES])
-           | st.floats(min_value=1e-3, max_value=1e3))
-# (hbar, mass, sigma0, center) of runs that complete on both commands
-_COMPLETING = [(1.0, 1.0, 1.0, 0.0), (0.5, 2.0, 0.7, -1.3)]
+#: Shipped configs each fuzzed command starts from.
+_FUZZ_BASES = {"spread": ("spread", "trajectories", "convergence"),
+               "trajectories": ("trajectories", "spread", "convergence"),
+               "doubleslit": ("doubleslit",), "convergence": ("convergence",)}
+#: Keys that scale as a length, a time and a velocity when lengths scale by 2^k and
+#: times by 4^k; hbar / mass, and so the diffusivity, stays fixed.
+_LENGTHS = {"sigma0", "center", "dx", "separation"}
+_TIMES = {"dt", "t_final", "snapshot_times"}
+_VELOCITIES = {"dvx", "v1", "v2", "v_y"}
+_FUZZ_DRAWS = 50
 
 
-@pytest.mark.parametrize("command", ["spread", "doubleslit"])
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(hbar=_FINITE, mass=_FINITE, sigma0=_FINITE, center=_FINITE)
-@example(*_COMPLETING[0])
-@example(*_COMPLETING[1])
-def test_any_physical_and_packet_values_exit_cleanly(command, hbar, mass, sigma0, center):
-    text = (f"[physical]\nhbar = {hbar!r}\nmass = {mass!r}\n"
-            f"[packet]\nsigma0 = {sigma0!r}\ncenter = {center!r}\n"
-            "[grid]\ndx = 0.1\ndt = 0.05\nt_final = 1.0\nnx_cap = 1001\n"
-            "[output]\nsnapshot_times = 0, 1\n")
-    if command == "doubleslit":
-        text += "[slits]\nseparation = 4\ndvx = 2\n"
-    # in-process, warnings are recorded here, not printed: add them to what stderr shows
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        warnings.simplefilter("always")
-        status = main([command, "--config", _cfg(Path(tmp), text), "--out",
-                       str(Path(tmp) / "o"), "--quiet"])
-    stderr = err.getvalue() + "".join(
-        f"{w.category.__name__}: {w.message}\n" for w in caught)
-    assert status in (0, 1), stderr
-    assert "Traceback" not in stderr and "RuntimeWarning" not in stderr, stderr
-    if (hbar, mass, sigma0, center) in _COMPLETING:
-        assert status == 0, stderr
+def _any_float(rng, near):
+    """A finite float of either sign: any bit pattern, an extreme, or a multiple of ``near``."""
+    pick = rng.randrange(4)
+    if pick == 0:  # every exponent alike
+        while not math.isfinite(value := struct.unpack("<d", rng.randbytes(8))[0]):
+            pass
+        return value
+    if pick == 1:
+        return rng.choice(_EXTREMES) * rng.choice((1.0, -1.0))
+    if pick == 2:
+        return near * rng.uniform(-2.0, 2.0)
+    return near * 2.0 ** rng.randint(-40, 40)
+
+
+def _shipped_draw(rng, command):
+    """A shipped config scaled by 2^k (times by 4^k) and each value perturbed by up to 3%."""
+    raw = load_raw(CONFIGS / f"{rng.choice(_FUZZ_BASES[command])}.cfg")
+    k, j = rng.randint(-4, 4), rng.randint(-4, 4)
+    t_factor = 4.0**k * rng.uniform(0.97, 1.03)  # t_final and snapshot_times move together
+    for section, kv in raw.items():
+        for key, text in kv.items():
+            values = [float(v) for v in text.split(",")]
+            if key in _TIMES:
+                values = [v * t_factor for v in values]
+            else:
+                scale = (2.0**k if key in _LENGTHS else 2.0**-k if key in _VELOCITIES
+                         else 2.0**j if key in ("hbar", "mass") else 1.0)
+                values = [v * scale * rng.uniform(0.97, 1.03) for v in values]
+            kv[key] = ", ".join(repr(v) for v in values)
+    raw["grid"]["nx_cap"] = "4096"
+    return raw
+
+
+def _wild_draw(rng, command):
+    """A shipped draw with about a third of the float and int keys drawn anew, in or out
+    of their domains."""
+    raw = _shipped_draw(rng, command)
+    for section, key, kind in _NUMERIC_KEYS + [("trajectories", "quantiles", "floats"),
+                                              ("output", "snapshot_times", "floats")]:
+        if rng.random() > 0.3:
+            continue
+        if key == "nx_cap":
+            value = rng.randint(-5, 4096)
+        elif kind == "int":
+            value = rng.choice([rng.randint(-20, 40), rng.randint(-10**12, 10**12)])
+        elif key == "quantiles":
+            value = sorted(rng.uniform(-0.3, 1.3) for _ in range(rng.randint(1, 5)))
+        elif key == "snapshot_times":
+            t_final = float(raw["grid"]["t_final"])
+            value = sorted(rng.uniform(-0.2, 1.2) * t_final for _ in range(rng.randint(1, 4)))
+        else:
+            value = _any_float(rng, float(raw.get(section, {}).get(key, _VALID[key])))
+            if rng.random() < 0.5:  # most domains are positive: keep as many draws inside
+                value = abs(value)
+        kv = raw.setdefault(section, {})
+        for rival in _RIVALS.get(key, ()):
+            kv.pop(rival, None)
+        kv[key] = ", ".join(map(repr, value)) if kind == "floats" else repr(value)
+    return raw
+
+
+def _outside(raw):
+    """``[section] key`` of each drawn value outside the domain SCHEMA declares for it."""
+    tests = {">": lambda v, b: v > b, ">=": lambda v, b: v >= b,
+             "[]": lambda v, lo, hi: lo <= v <= hi, "()": lambda v, lo, hi: lo < v < hi}
+    names = []
+    for section, kv in raw.items():
+        for key, text in kv.items():
+            kind, *domain = config.SCHEMA[section][key]
+            if domain and not all(tests[domain[0]](float(v), *domain[1:])
+                                  for v in text.split(",")):
+                names.append(f"[{section}] {key}")
+    return names
+
+
+@pytest.mark.parametrize("command", ["spread", "trajectories", "doubleslit", "convergence"])
+def test_any_schema_values_exit_cleanly(monkeypatch, command):
+    """Half the draws perturb a shipped config, half also redraw keys anywhere. Every draw
+    exits 0, or exits 1 with one error line, which names a key drawn outside its domain
+    when there is one."""
+    # runs stay small: at most 4,096 nodes and 2^14 macro steps or stencil passes
+    monkeypatch.setattr(stepper, "MAX_PASSES", 2**14)
+    monkeypatch.setattr(balldiff.core, "MAX_STEPS", 2**14)
+    rng = random.Random(f"fuzz {command}")
+    completed = 0
+    for draw in range(_FUZZ_DRAWS):
+        raw = (_shipped_draw if draw % 2 else _wild_draw)(rng, command)
+        # in-process, warnings are recorded here, not printed: add them to what stderr shows
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
+            status = main([command, "--config", _cfg(Path(tmp), _ini(raw)), "--out",
+                           str(Path(tmp) / "o"), "--quiet"])
+        stderr = err.getvalue() + "".join(
+            f"{w.category.__name__}: {w.message}\n" for w in caught)
+        context = f"{_ini(raw)}\n{stderr}"
+        assert "Traceback" not in stderr and "RuntimeWarning" not in stderr, context
+        outside = _outside(raw)
+        if status == 0:
+            assert not outside and not stderr, context
+            completed += 1
+            continue
+        assert status == 1, context
+        [line] = stderr.splitlines()
+        assert line.startswith("error: "), context
+        assert not outside or any(name in line for name in outside), context
+    assert completed >= _FUZZ_DRAWS // 4, completed
 
 
 def test_import_leaves_pool_argparse_and_traceback_unloaded():
@@ -623,12 +743,13 @@ def test_import_leaves_pool_argparse_and_traceback_unloaded():
 
 
 def test_sweep_failed_point_writes_its_reason(tmp_path):
-    text = BASE.replace("dx = 0.1\n", "") + (
-        "\n[sweep]\ncommand = spread\ngrid.points_per_sigma0 = 3, 16\n")
+    # point 000 parses, and its grid is refused only when the point runs
+    text = BASE + "\n[sweep]\ncommand = spread\ngrid.nx_cap = 5, 100000\n"
     out = tmp_path / "out"
     assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 1
     reason = (out / "point_000" / "error.txt").read_text()
-    assert reason.endswith("points_per_sigma0 must be >= 8, got 3\n")
+    assert reason.endswith("grid would need 225 nodes (cap 5); "
+                           "coarsen dx, shorten t_final, or lower safety_span\n")
     assert not (out / "point_001" / "error.txt").exists()
     assert (out / "point_001" / "sigma_timeseries.txt").exists()
 

@@ -1,12 +1,23 @@
 """Config parsing: defaults, strict key checking, derived settings, grid sizing."""
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balldiff import ConfigError, ResourceLimitError, analytic_sigma
-from balldiff.config import build_config, double_slit_grid, load_config, load_raw, single_beam_grid
+from balldiff.config import (
+    SCHEMA,
+    build_config,
+    double_slit_grid,
+    load_config,
+    load_raw,
+    single_beam_grid,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = """\
 [grid]
@@ -121,6 +132,64 @@ def test_safety_span_floor(tmp_path):
     text = "[grid]\ndt = 0.1\nt_final = 1.0\nsafety_span = 3.0\n"
     with pytest.raises(ConfigError, match="safety_span"):
         load_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("section, line, message", [
+    ("physical", "hbar = -1", "[physical] hbar must be > 0, got -1.0"),
+    ("grid", "points_per_sigma0 = 3", "[grid] points_per_sigma0 must be >= 8, got 3"),
+    ("packet", "sigma0 = 1e-200",
+     "[packet] sigma0 must lie in [1.49e-154, 1.34e+154], got 1e-200"),
+    ("trajectories", "quantiles = 0.5, 1.5",
+     "[trajectories] quantiles must lie in (0, 1), got 1.5"),
+    ("output", "snapshot_times = -1, 0", "[output] snapshot_times must be >= 0, got -1.0"),
+])
+def test_out_of_domain_value_states_its_domain(tmp_path, section, line, message):
+    text = MINIMAL + (f"{line}\n" if section == "grid" else f"\n[{section}]\n{line}\n")
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError) as refused:
+        load_config(path)
+    assert str(refused.value) == f"{path}: {message}"
+
+
+def test_sigma0_domain_is_exactly_the_normal_square_range():
+    _, _, lo, hi = SCHEMA["packet"]["sigma0"]
+    assert (lo, hi) == (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+    grid = {"dt": 0.1, "t_final": 1.0}
+    assert _built(packet={"sigma0": repr(lo)}, grid=grid).state.sigma0 == lo
+    with pytest.raises(ConfigError, match="sigma0 must lie in"):
+        _built(packet={"sigma0": repr(math.nextafter(lo, 0.0))}, grid=grid)
+
+
+def _readme_config_rows():
+    """(section, key) -> Domain cell of the README's configuration table."""
+    text = README.read_text()
+    table = text[text.index("## Configuration"):text.index("Sweep example:")]
+    rows, section = {}, None
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("| ") or cells[0] in ("Section", "---"):
+            continue
+        section = cells[0].strip("`[]") or section
+        for key in cells[1].split(", "):
+            rows[section, key.strip("`")] = cells[3]
+    return rows
+
+
+def _domain_cell(spec):
+    kind, *domain = spec
+    if not domain:
+        return ""
+    op, *bounds = domain
+    if op in (">", ">="):
+        return f"`{op} {bounds[0]:.3g}`"
+    return f"`{op[0]}{bounds[0]:.3g}, {bounds[1]:.3g}{op[1]}`"
+
+
+def test_readme_config_table_states_each_schema_domain():
+    rows = _readme_config_rows()
+    for section, specs in SCHEMA.items():
+        for key, spec in specs.items():
+            assert rows.get((section, key)) == _domain_cell(spec), (section, key)
 
 
 def test_missing_file_reported(tmp_path):

@@ -122,6 +122,12 @@ def test_grid_spanning_cap():
         grid_spanning(0.0, 1e6, 0.01, dt=0.1, t_final=1.0, nx_cap=100000)
 
 
+def test_grid_spanning_counts_nodes_past_the_float_range_as_inf():
+    # 2 * 1e308 + 1 nodes is an int no float can hold
+    with pytest.raises(ResourceLimitError, match=r"grid would need inf nodes \(cap 100\)"):
+        grid_spanning(0.0, 1e308, 1.0, dt=0.1, t_final=1.0, nx_cap=100)
+
+
 def test_grid_spanning_step_cap():
     assert grid_spanning(0.0, 1.0, 0.1, dt=1.0, t_final=float(MAX_STEPS)).n_steps == MAX_STEPS
     for t_final in (MAX_STEPS + 1.0, 1e300):

@@ -9,6 +9,7 @@ itself, from D_t = D^2 t / sigma0^2 at each substep's end and the substep
 rule of the stepper's docstring, so a wrong schedule fails it as much as a
 wrong kernel does. It does not depend on the kernels' operation order.
 """
+import dataclasses
 import math
 from pathlib import Path
 
@@ -19,7 +20,8 @@ import balldiff.stepper as stepper
 from balldiff import GaussianState
 from balldiff.cli import _evolve_packet
 from balldiff.config import double_slit_grid, load_config
-from balldiff.stepper import STABILITY_TARGET, march, sample_gaussian_field
+from balldiff.stepper import (STABILITY_TARGET, march, sample_gaussian_field,
+                              second_moment_sigma)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -75,24 +77,68 @@ def _ulps_of_peak(got, want, peak):
     return float(np.max(np.abs(got - want)) / np.spacing(peak))
 
 
+def _oracle_ulps(initial, snaps, report, grid, sigma0, diffusivity):
+    """Worst mismatch of ``(t, values)`` snapshots against the oracle, in ulps of the
+    initial peak; the pass count must match the oracle's too."""
+    n_macro = round(snaps[-1][0] / grid.dt)
+    nus, pass_end = _end_time_nus(n_macro, grid.dt, grid.dx, sigma0, diffusivity)
+    assert report.total_substeps == nus.size
+    want = _sine_oracle(initial, nus, _snapshot_stops([t for t, _ in snaps], grid.dt, pass_end))
+    return max(_ulps_of_peak(v, w, np.max(initial)) for (_, v), w in zip(snaps, want))
+
+
+def _packet_run(cfg):
+    """Initial values and ``(t, values)`` snapshots of a config's single-packet run."""
+    grid, snaps, report = _evolve_packet(cfg)
+    initial = sample_gaussian_field(cfg.state, grid).values
+    return grid, initial, [(s.time, s.values) for s in snaps], report
+
+
 #: Largest oracle mismatch, in ulps of the initial peak, over the snapshots of a run.
-#: Measured on either kernel: 6 (trajectories.cfg) and 8 (doubleslit.cfg).
+#: Measured on either kernel: 6 (trajectories.cfg), 8 (doubleslit.cfg), 4 (the small
+#: spread) and 2, 3, 8 and 10 (convergence.cfg levels 0 to 3).
 _ULPS = 32
+
+#: A small spread run: 285 nodes, snapshots every 0.5 up to t = 2.
+_SMALL_SPREAD = """\
+[grid]
+dx = 0.1
+dt = 0.05
+t_final = 2.0
+"""
 
 
 @pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
 def test_flux_line_run_matches_sine_basis_oracle(monkeypatch, kernel):
     monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
     cfg = load_config(CONFIGS / "trajectories.cfg")
-    grid, snaps, report = _evolve_packet(cfg)
-    n_macro = round(snaps[-1].time / grid.dt)
-    nus, pass_end = _end_time_nus(n_macro, grid.dt, grid.dx, cfg.state.sigma0,
-                                  cfg.params.diffusivity)
-    assert report.total_substeps == nus.size
-    initial = sample_gaussian_field(cfg.state, grid).values
-    want = _sine_oracle(initial, nus, _snapshot_stops([s.time for s in snaps], grid.dt,
-                                                        pass_end))
-    worst = max(_ulps_of_peak(s.values, w, initial.max()) for s, w in zip(snaps, want))
+    grid, initial, snaps, report = _packet_run(cfg)
+    worst = _oracle_ulps(initial, snaps, report, grid, cfg.state.sigma0, cfg.params.diffusivity)
+    assert worst <= _ULPS, worst
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+def test_small_spread_run_matches_sine_basis_oracle(tmp_path, monkeypatch, kernel):
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    (tmp_path / "run.cfg").write_text(_SMALL_SPREAD)
+    cfg = load_config(tmp_path / "run.cfg")
+    grid, initial, snaps, report = _packet_run(cfg)
+    assert grid.nx == 285 and len(snaps) == 5
+    worst = _oracle_ulps(initial, snaps, report, grid, cfg.state.sigma0, cfg.params.diffusivity)
+    assert worst <= _ULPS, worst
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+def test_convergence_level_matches_sine_basis_oracle(monkeypatch, kernel, level):
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    base = load_config(CONFIGS / "convergence.cfg")
+    # the level run_convergence runs: dx halved and dt quartered per level, one snapshot
+    cfg = dataclasses.replace(base, dx=base.dx / 2**level, dt=base.dt / 4**level,
+                              snapshot_times=(base.t_final,))
+    grid, initial, snaps, report = _packet_run(cfg)
+    assert grid.nx == 2**level * 112 + 1
+    worst = _oracle_ulps(initial, snaps, report, grid, cfg.state.sigma0, cfg.params.diffusivity)
     assert worst <= _ULPS, worst
 
 
@@ -106,11 +152,26 @@ def test_two_beam_rows_match_sine_basis_oracle(monkeypatch, kernel):
                                               grid).values for c in (-half, half)])
     snaps, report = march(initial, 0.0, grid, cfg.slits.sigma0, cfg.params.diffusivity,
                           cfg.snapshot_times)
-    n_macro = round(snaps[-1][0] / grid.dt)
-    nus, pass_end = _end_time_nus(n_macro, grid.dt, grid.dx, cfg.slits.sigma0,
-                                  cfg.params.diffusivity)
-    assert report.total_substeps == nus.size
-    want = _sine_oracle(initial, nus, _snapshot_stops([t for t, _ in snaps], grid.dt,
-                                                        pass_end))
-    worst = max(_ulps_of_peak(v, w, initial.max()) for (_, v), w in zip(snaps, want))
+    worst = _oracle_ulps(initial, snaps, report, grid, cfg.slits.sigma0, cfg.params.diffusivity)
     assert worst <= _ULPS, worst
+
+
+@pytest.mark.parametrize("config", ["spread", "trajectories", "convergence"])
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+def test_variance_grows_by_two_dx_squared_per_unit_nu(monkeypatch, kernel, config):
+    """Each pass adds 2 dx^2 nu to the variance and keeps the mass, up to the held
+    edges' flux, which is negligible on these grids. Measured on either kernel: at
+    most 5.4e-16 of the variance, and a mass drift of at most 4.5e-16."""
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    cfg = load_config(CONFIGS / f"{config}.cfg")
+    grid, snaps, report = _evolve_packet(cfg)
+    var0 = second_moment_sigma(sample_gaussian_field(cfg.state, grid), grid) ** 2
+    nus, pass_end = _end_time_nus(round(snaps[-1].time / grid.dt), grid.dt, grid.dx,
+                                  cfg.state.sigma0, cfg.params.diffusivity)
+    stops = _snapshot_stops([s.time for s in snaps], grid.dt, pass_end)
+    worst = 0.0
+    for snap, stop in zip(snaps, stops):
+        var = second_moment_sigma(snap, grid) ** 2
+        worst = max(worst, abs(var - var0 - 2.0 * grid.dx**2 * math.fsum(nus[:stop])) / var)
+    assert worst <= 1e-15, worst
+    assert report.mass_drift <= 1e-15, report.mass_drift
