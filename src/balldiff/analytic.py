@@ -43,7 +43,8 @@ def analytic_sigma(t, sigma0: float, diffusivity: float):
     """Packet width sigma0 * sqrt(1 + (D t / sigma0^2)^2) at time t >= 0."""
     t_arr = _checked_times(t, sigma0, diffusivity)
     u = diffusivity * t_arr / sigma0**2
-    out = sigma0 * np.sqrt(1.0 + u * u)
+    w = np.minimum(u, 2.0**27)  # from 2**27 on, 1 + u*u rounds to u*u, whose root is u
+    out = sigma0 * np.where(u < 2.0**27, np.sqrt(1.0 + w * w), u)
     return float(out) if np.isscalar(t) else out
 
 

@@ -179,6 +179,9 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
         raise ConfigError(f"{origin}: [grid] give dx or points_per_sigma0, not both")
     if dx is None:
         dx = state.sigma0 / (pps if pps is not None else 16)
+        if dx == 0.0:
+            raise ConfigError(f"{origin}: [grid] points_per_sigma0 = {pps:.3g} makes dx = "
+                              f"sigma0 / points_per_sigma0 underflow to 0; lower it")
 
     safety_span = val("grid", "safety_span", 10.0)
     nx_cap = val("grid", "nx_cap", DEFAULT_NX_CAP)
@@ -318,8 +321,7 @@ def _grid_around(cfg: RunConfig, center: float, half: float) -> Grid1D:
             f"the float range (diffusivity = {cfg.params.diffusivity:g}, "
             f"safety_span = {cfg.safety_span:g})"
         )
-    grid = grid_spanning(center, half, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap)
     if cfg.dx > 0.5 * cfg.state.sigma0:  # coarser nodes cannot sample the packet
         raise ConfigError(f"{cfg.origin}: [grid] dx = {cfg.dx:g} must be at most half of "
                           f"[packet] sigma0 = {cfg.state.sigma0:g}; lower dx")
-    return grid
+    return grid_spanning(center, half, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap)

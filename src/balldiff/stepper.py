@@ -11,6 +11,7 @@ splits each macro step into however many equal substeps keep every
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .errors import DomainTooSmallError, ResourceLimitError, ValidationError
 #: the coefficient keeps growing within a macro step.
 STABILITY_TARGET = 0.4
 
-#: Most stencil passes one evolve call may schedule; the schedule holds
-#: about 40 bytes per pass.
+#: Most stencil passes one evolve call may run; while a segment's kernel call
+#: runs, its schedule holds about 40 bytes per pass of that segment.
 MAX_PASSES = 2**24
 
 #: Mass within this many cells of either edge counts as boundary leak.
@@ -100,26 +101,19 @@ def count_passes(grid: Grid1D, state: GaussianState, params: PhysicalParams, tim
     return int(_substep_counts(0.0, n_macro, grid, state.sigma0, params.diffusivity).sum())
 
 
-def _substep_schedule(
-    t0: float, n_macro: int, grid: Grid1D, sigma0: float, diffusivity: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Passes completed after each macro step, and the ``nu`` of every pass.
+def _substep_schedule(t0: float, lo: int, hi: int, n_sub: np.ndarray, grid: Grid1D,
+                      sigma0: float, diffusivity: float) -> np.ndarray:
+    """The ``nu`` of each pass of macro steps lo + 1 to hi; step m + 1 runs ``n_sub[m]``.
 
-    Vectorized over the macro steps, with the float operations of a
-    per-step loop in the same order, so the passes are bit-identical to
-    one computed step by step: the end-time coefficient of each macro step
-    picks its count, then ``nu`` is evaluated at every substep end.
+    A per-step loop's float operations in the same order, vectorized over the
+    steps, so every ``nu``, evaluated at its substep's end, has the same bits.
     """
-    dt = grid.dt
-    m = np.arange(n_macro)  # macro step number minus one
-    n_sub = _substep_counts(t0, n_macro, grid, sigma0, diffusivity)
-    sub_dt = dt / n_sub
-    pass_end = np.cumsum(n_sub)
-    step = np.repeat(m, n_sub)  # macro step of each pass
-    k = np.arange(1, step.size + 1) - (pass_end - n_sub)[step]  # 1..n_sub per step
-    sub_ends = (t0 + m * dt)[step] + sub_dt[step] * k
-    nus = diffusion_coefficient(sub_ends, sigma0, diffusivity) * (sub_dt / grid.dx**2)[step]
-    return pass_end, nus
+    dt, counts = grid.dt, n_sub[lo:hi]
+    sub_dt = dt / counts
+    step = np.repeat(np.arange(hi - lo), counts)  # the pass's macro step, from the segment's first
+    k = np.arange(1, step.size + 1) - (np.cumsum(counts) - counts)[step]  # 1..n_sub per step
+    sub_ends = (t0 + np.arange(lo, hi) * dt)[step] + sub_dt[step] * k
+    return diffusion_coefficient(sub_ends, sigma0, diffusivity) * (sub_dt / grid.dx**2)[step]
 
 
 def _edge_fraction(v: np.ndarray) -> float:
@@ -140,11 +134,11 @@ def evolve(
 ) -> tuple[list[Field], StepperReport]:
     """March the density forward, emitting snapshots at the requested times.
 
-    Requested times snap to the nearest completed macro step. The whole
-    substep schedule is built up front: the end-time coefficient of each
-    macro step decides its substep count, and the coefficient is evaluated
-    at every substep end. The kernel then runs once per snapshot segment,
-    over all the passes between two consecutive snapshots. The very first
+    Requested times snap to the nearest completed macro step. The end-time
+    coefficient of each macro step decides its substep count, and the
+    coefficient is evaluated at every substep end. The kernel runs once per
+    snapshot segment, over all the passes between two consecutive snapshots,
+    whose coefficients are built just before that call. The very first
     step from t=0 is a near no-op since the coefficient vanishes there;
     that is expected behavior, not a bug. :func:`march` is that loop; the
     double-slit beams run it as two rows at once.
@@ -176,21 +170,17 @@ def march(
     for m in mass0:
         if abs(m - 1.0) > _MASS_TOL:
             raise ValidationError(f"initial field mass {m!r} is not 1 within {_MASS_TOL}")
-    indices = _snap_indices(snapshot_times, grid, t0)
-    wanted: dict[int, int] = {}
-    for i in indices:
-        wanted[i] = wanted.get(i, 0) + 1
-    last = max(indices)
-
-    pass_end, nus = _substep_schedule(t0, last, grid, sigma0, diffusivity)
+    wanted = Counter(_snap_indices(snapshot_times, grid, t0))
+    n_sub = _substep_counts(t0, max(wanted), grid, sigma0, diffusivity)
     snapshots: list[tuple[float, np.ndarray]] = []
-    worst_leak = 0.0
-    done = 0
+    worst_leak = max_courant = 0.0
+    done = 0  # macro steps run
     for step, count in wanted.items():  # ascending: _snap_indices rejects unsorted times
-        if step > 0:
-            stop = int(pass_end[step - 1])
-            v = apply_passes(v, nus[done:stop])
-            done = stop
+        if step > done:
+            nus = _substep_schedule(t0, done, step, n_sub, grid, sigma0, diffusivity)
+            v = apply_passes(v, nus)
+            max_courant = max(max_courant, float(nus.max()))  # nu never falls within a step
+            done = step
         t = t0 + step * grid.dt
         leak = max(_edge_fraction(row) for row in np.atleast_2d(v))
         worst_leak = max(worst_leak, leak)
@@ -200,15 +190,14 @@ def march(
             )
         snapshots.extend((t, v) for _ in range(count))
 
-    report = StepperReport(
-        macro_steps=last,
-        total_substeps=int(pass_end[-1]) if last else 0,
-        max_courant=float(nus[pass_end - 1].max(initial=0.0)),
+    return snapshots, StepperReport(
+        macro_steps=done,
+        total_substeps=int(n_sub.sum()),
+        max_courant=max_courant,
         mass_drift=max(abs(float(row.sum() * grid.dx) - m) / m
                        for row, m in zip(np.atleast_2d(v), mass0)),
         boundary_leak=worst_leak,
     )
-    return snapshots, report
 
 
 def second_moment_sigma(field: Field, grid: Grid1D) -> float:

@@ -91,7 +91,7 @@ def read_table(path) -> tuple[list[str], np.ndarray]:
     """Parse a table back into (column_names, data) with data shaped (rows, cols).
 
     Refuses a table without its header line, and a row that does not hold one
-    number per header name, naming the file and the row.
+    number per header name, naming the file and the row's line in it.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -103,8 +103,16 @@ def read_table(path) -> tuple[list[str], np.ndarray]:
         return names, np.empty((0, len(names)))
     try:
         data = np.loadtxt(body, comments=None, ndmin=2)
-    except ValueError as exc:  # a ragged row, or a cell that is not a number
-        # numpy's message names the row; its hint after ';' (to pass usecols) does not apply
+    except ValueError as exc:  # a ragged row, or a cell that is not a number: find its line
+        for no, line in ((no, line) for no, line in enumerate(body, start=2) if line.strip()):
+            try:
+                width = np.loadtxt([line], comments=None).size
+            except ValueError as bad:  # numpy's row and column count within this line alone
+                reason = str(bad).split(" at row")[0]
+                raise ValidationError(f"{path}: line {no}: {reason}") from None
+            if width != len(names):
+                raise ValidationError(f"{path}: line {no} holds {width} numbers for "
+                                      f"{len(names)} header names") from None
         raise ValidationError(f"{path}: {str(exc).split(';')[0]}") from None
     if data.shape[1] != len(names):
         raise ValidationError(

@@ -49,6 +49,14 @@ def test_analytic_sigma_monotone():
     assert np.all(np.diff(s) > 0.0)
 
 
+def test_analytic_sigma_keeps_the_bits_of_the_law_past_a_squared_ratio_overflow():
+    # u = D t / sigma0**2 from 2**20 to 2**60: the same bits as sigma0 * sqrt(1 + u * u)
+    u = 2.0 ** np.arange(20.0, 60.0, 0.125)
+    assert np.array_equal(analytic_sigma(u, 1.0, 1.0), np.sqrt(1.0 + u * u))
+    # u = 2.2e307, whose square overflows: sigma is sigma0 * u, about 3.3e153
+    assert analytic_sigma(1.0, 1.5e-154, 0.5) == 1.5e-154 * (0.5 * 1.0 / 1.5e-154**2)
+
+
 def test_analytic_sigma_rejects_negative_time():
     with pytest.raises(ValidationError):
         analytic_sigma(-0.1, 1.0, 0.5)

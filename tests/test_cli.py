@@ -510,8 +510,26 @@ def test_huge_dx_reported(tmp_path, capsys):
     text = BASE.replace("dx = 0.1", "dx = 1e308")
     assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: dx must be at most ")
-    assert "Traceback" not in err
+    assert err == (f"error: {tmp_path / 'run.cfg'}: [grid] dx = 1e+308 must be at most half of "
+                   "[packet] sigma0 = 1; lower dx\n")
+
+
+@pytest.mark.parametrize("packet, grid, want", [
+    ("sigma0 = 1.0", "dx = 1e155\nt_final = 1.0",
+     "{cfg}: [grid] dx = 1e+155 must be at most half of [packet] sigma0 = 1; lower dx\n"),
+    ("sigma0 = 1.5e-154", f"points_per_sigma0 = {10**200}\nt_final = 0",
+     "{cfg}: [grid] points_per_sigma0 = 1e+200 makes dx = sigma0 / points_per_sigma0 "
+     "underflow to 0; lower it\n"),
+    ("sigma0 = 1.5e-154", "dx = 1e-155\nt_final = 1",
+     "grid would need inf nodes (cap 4194304); "),
+], ids=["dx_over_the_float_range", "derived_dx_underflows", "finite_spread_of_tiny_sigma0"])
+def test_refusal_names_the_key_and_the_real_cause(tmp_path, packet, grid, want):
+    # sigma(1) of the last case is about 3.3e153: finite, so the node cap refuses the run
+    text = f"[physical]\nhbar = 1.0\nmass = 1.0\n[packet]\n{packet}\n[grid]\n{grid}\ndt = 0.05\n"
+    status, err = _cli_in_subprocess(tmp_path, text)
+    assert status == 1
+    assert err.startswith("error: " + want.format(cfg=tmp_path / "run.cfg"))
+    assert "Warning" not in err and "Traceback" not in err
 
 
 def test_default_snapshot_times_of_huge_t_final(tmp_path, capsys):

@@ -119,3 +119,80 @@ def test_convergence_is_dyadic_scale_invariant(monkeypatch, tmp_path, kernel, k)
     assert np.array_equal(scaled["linf_error"], base["linf_error"] * 2.0**-k)
     orders = [(tmp_path / str(scale) / "orders.txt").read_bytes() for scale in (0, k)]
     assert orders[0] == orders[1]
+
+
+# hbar scaled by 2**k and every time by 2**-k leave each nu = D_t dt / dx**2 unchanged,
+# since D = hbar / (2 mass) enters squared, and so do the drifts v * t and the phase
+# mass * dvx * x / hbar once dvx and v_y scale with hbar. The densities keep their bits.
+_HBAR_KS = [1, 5, -3]
+
+
+def _hbar_scaled(name, k, *extra):
+    """The shipped config with hbar, and each key of ``extra``, scaled by 2**k, times by 2**-k."""
+    times = _TIMES if name != "convergence" else _TIMES[:2]
+    return _scaled_config(name, {("physical", "hbar"): 2.0**k, **dict.fromkeys(extra, 2.0**k),
+                                 **dict.fromkeys(times, 2.0**-k)})
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+@pytest.mark.parametrize("k", _HBAR_KS)
+def test_spread_is_hbar_scale_invariant(monkeypatch, kernel, k):
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    (grid, snaps, report), (grid_k, snaps_k, report_k) = (
+        _evolve_packet(_hbar_scaled("spread", scale)) for scale in (0, k))
+    assert grid_k.nx == grid.nx
+    assert np.array_equal(grid_k.x, grid.x)
+    assert report_k == report
+    assert len(snaps_k) == len(snaps)
+    for snap, snap_k in zip(snaps, snaps_k):
+        assert snap_k.time == snap.time * 2.0**-k
+        assert np.array_equal(snap_k.values, snap.values)
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+@pytest.mark.parametrize("k", _HBAR_KS)
+def test_doubleslit_is_hbar_scale_invariant(monkeypatch, kernel, k):
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    runs = []
+    for scale in (0, k):
+        cfg = _hbar_scaled("doubleslit", scale, ("slits", "dvx"))
+        grid = double_slit_grid(cfg)
+        runs.append((grid, simulate_double_slit(cfg.slits, grid, cfg.params,
+                                                cfg.snapshot_times)))
+    (grid, imap), (grid_k, imap_k) = runs
+    assert grid_k.nx == grid.nx
+    assert np.array_equal(imap_k.x_axis, imap.x_axis)
+    assert np.array_equal(imap_k.times, imap.times * 2.0**-k)
+    for name in ("p1", "p2", "p_total"):
+        assert np.array_equal(getattr(imap_k, name), getattr(imap, name)), name
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+@pytest.mark.parametrize("k", _HBAR_KS)
+def test_trajectories_are_hbar_scale_invariant(monkeypatch, tmp_path, kernel, k):
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    for scale in (0, k):
+        cfg = _hbar_scaled("trajectories", scale, ("trajectories", "v_y"))
+        assert run_trajectories(cfg, tmp_path / str(scale), quiet=True) == 0
+    for table in ("trajectories.txt", "homothety.txt"):
+        base, scaled = _columns(tmp_path / "0" / table), _columns(tmp_path / str(k) / table)
+        assert base["quantile"].size > 0
+        for name in base:
+            factor = 2.0**-k if name == "t" else 1.0
+            assert np.array_equal(scaled[name], base[name] * factor), (table, name)
+
+
+@pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
+@pytest.mark.parametrize("k", _HBAR_KS)
+def test_convergence_is_hbar_scale_invariant(monkeypatch, tmp_path, kernel, k):
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    for scale in (0, k):
+        assert run_convergence(_hbar_scaled("convergence", scale), tmp_path / str(scale),
+                               quiet=True) == 0
+    base = _columns(tmp_path / "0" / "convergence.txt")
+    scaled = _columns(tmp_path / str(k) / "convergence.txt")
+    for name in base:
+        factor = 2.0**-k if name == "dt" else 1.0
+        assert np.array_equal(scaled[name], base[name] * factor), name
+    orders = [(tmp_path / str(scale) / "orders.txt").read_bytes() for scale in (0, k)]
+    assert orders[0] == orders[1]

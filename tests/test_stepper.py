@@ -1,5 +1,6 @@
 """Finite-difference stepper: stencil arithmetic, substepping, conservation."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,3 +318,19 @@ def test_evolve_schedule_raises_leak_at_same_snapshot(monkeypatch, params, unit_
         _evolve_per_macro_step(f0, grid, unit_state, params, times, kernel.apply_passes)
     assert str(got.value) == str(want.value)
     assert "t=2.0;" in str(got.value)
+
+
+def test_evolve_builds_one_segment_schedule_at_a_time(params, unit_state):
+    # 1,003 nodes and 12,650 passes in 10 segments; a whole-run schedule of about
+    # 40 B per pass would hold 0.5 MB on top of the eleven snapshots
+    grid = grid_spanning(0.0, 5.0 * analytic_sigma(100.0, 1.0, params.diffusivity), 0.5,
+                         dt=0.5, t_final=100.0)
+    f0 = sample_gaussian_field(unit_state, grid)
+    tracemalloc.start()
+    try:
+        snaps, report = evolve(f0, grid, unit_state, params, [10.0 * i for i in range(11)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (grid.nx, report.total_substeps, len(snaps)) == (1003, 12650, 11)
+    assert peak <= 24 * report.total_substeps

@@ -104,13 +104,16 @@ def test_read_rejects_column_count_mismatch(tmp_path):
         read_table(path)
 
 
-@pytest.mark.parametrize("text", [
-    "# a b\n1 2\n3\n", "# a b\n1 2\n\n3 4\n5 6 7\n", "# a b\n1 x\n", "# a b\n1 2\n# c d\n",
-], ids=["ragged", "ragged_after_blank", "not_a_number", "comment_row"])
-def test_read_names_file_and_row_of_bad_row(tmp_path, text):
+@pytest.mark.parametrize("text, line", [
+    ("# a b\n1 2\n3\n", 3), ("# a b\n1 2\n\n3 4\n5 6 7\n", 5), ("# a b\n1 x\n", 2),
+    ("# a b\n1 2\n# c d\n", 3), ("# a b\n1 2\n\n3\n", 4), ("# a b\n1 2\n\n3 y\n", 4),
+], ids=["ragged", "ragged_after_blank", "not_a_number", "comment_row", "short_after_blank",
+        "not_a_number_after_blank"])
+def test_read_names_file_and_row_of_bad_row(tmp_path, text, line):
+    """The refusal names the file and the bad row's 1-based line in it, blank lines counted."""
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: .* at row \d+"):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: line {line}\b"):
         read_table(path)
 
 
