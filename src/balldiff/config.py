@@ -40,7 +40,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "packet": {"sigma0": ("float", "[]", *_SIGMA0_RANGE), "center": ("float",)},
     "grid": {"dx": ("float", ">", 0), "points_per_sigma0": ("int", ">=", 8),
              "dt": ("float", ">", 0), "t_final": ("float", ">=", 0),
-             "safety_span": ("float", ">=", MIN_SAFETY_SPAN), "nx_cap": ("int",)},
+             "safety_span": ("float", ">=", MIN_SAFETY_SPAN), "nx_cap": ("int", ">=", 3)},
     "slits": {"separation": ("float", ">", 0), "v1": ("float",), "v2": ("float",),
               "dvx": ("float",)},
     "trajectories": {"quantiles": ("floats", "()", 0, 1), "v_y": ("float",)},

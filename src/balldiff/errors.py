@@ -14,7 +14,7 @@ class ConfigError(ValidationError):
 
 
 class ResourceLimitError(BalldiffError):
-    """A requested grid would exceed the configured node cap."""
+    """A requested run would exceed the node cap, the macro-step cap or the stencil-pass cap."""
 
 
 class DomainTooSmallError(BalldiffError):

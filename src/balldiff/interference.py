@@ -72,8 +72,6 @@ def _beam_extents(slits: SlitConfig, params: PhysicalParams, t_final: float,
 
 
 def _shift(values: np.ndarray, x: np.ndarray, offset: float) -> np.ndarray:
-    if offset == 0.0:
-        return np.array(values, dtype=np.float64)
     return np.interp(x - offset, x, values, left=0.0, right=0.0)
 
 
@@ -114,8 +112,7 @@ def simulate_double_slit(
     beams = [np.stack([_shift(rows[i], grid.x, v * t) for t, rows in snaps])
              for i, v in enumerate((slits.v1, slits.v2))]
 
-    phi = phase(grid.x, slits.dvx, params)
-    p_total = np.stack([compose_intensity(r1, r2, phi) for r1, r2 in zip(*beams)])
+    p_total = compose_intensity(*beams, phase(grid.x, slits.dvx, params))
     times = np.array([t for t, _ in snaps])
     for a in (times, *beams, p_total):
         a.setflags(write=False)

@@ -233,6 +233,20 @@ def test_convergence_run_and_orders(tmp_path):
     assert np.all(orders[:, 1] <= 2.3)
 
 
+@pytest.mark.parametrize("dt, t_final", [("0.1", "1.05"), ("0.07", "1.0")],
+                         ids=["t_final_off_level_0_steps", "dt_not_dividing_t_final"])
+def test_convergence_compares_each_level_at_the_time_it_reached(tmp_path, capsys, dt, t_final):
+    # t_final is no whole number of level 0's dt, so level 0 stops short of or past it
+    text = (BASE.replace("dx = 0.1", "dx = 0.2").replace("dt = 0.05", f"dt = {dt}")
+            .replace("t_final = 1.0", f"t_final = {t_final}"))
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == 0, capsys.readouterr().err
+    _, orders = read_table(out / "orders.txt")
+    lo, hi = cli.ORDER_WINDOW
+    assert np.all((lo <= orders[:, 1]) & (orders[:, 1] <= hi)), orders[:, 1]
+
+
 @pytest.mark.parametrize("extra, args, max_passes, reason", [
     ("nx_cap = 500\n", [], None, "grid would need 897 nodes (cap 500)"),
     ("", ["--refinements", "9"], None, "macro steps (cap "),
@@ -452,7 +466,7 @@ def test_one_value_sweep_builds_the_plain_config(tmp_path, section, key, kind):
 #: Text outside the domain of each scalar key that declares one.
 _OUT_OF_DOMAIN = {"hbar": "0", "mass": "-1", "sigma0": "-1", "dx": "-0.1",
                   "points_per_sigma0": "3", "dt": "0", "t_final": "-1", "safety_span": "4",
-                  "separation": "0"}
+                  "separation": "0", "nx_cap": "2"}
 _REFUSED = [(section, key, text) for section, key, kind in _NUMERIC_KEYS
             for text in (("8.0", "1e3", "abc", "1" + "0" * 400) if kind == "int"
                          else ("nan", "inf", "-inf", "abc"))
@@ -929,6 +943,22 @@ def test_configured_directory_that_is_a_file_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output: ")
     assert "File exists" in err and "Traceback" not in err
+
+
+def test_out_of_memory_reported(tmp_path, capsys, monkeypatch):
+    def sample(*_):  # stands in for the allocation of the grid's 2e11 nodes
+        raise MemoryError("Unable to allocate 1.46 TiB for an array with shape "
+                          "(200000000001,) and data type int64")
+
+    monkeypatch.setattr(cli, "sample_gaussian_field", sample)
+    text = (BASE.replace("dx = 0.1", "dx = 1e-10").replace("t_final = 1.0", "t_final = 0")
+            + "nx_cap = 1000000000000\n[output]\nsnapshot_times = 0\n")
+    out = tmp_path / "o"
+    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 1.46 TiB for an array with shape "
+        "(200000000001,) and data type int64; lower [grid] nx_cap or coarsen dx\n")
+    assert not out.exists()
 
 
 _NX_CAP_5 = BASE + "nx_cap = 5\n"

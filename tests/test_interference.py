@@ -1,5 +1,6 @@
 """Two-beam composition: phase, intensity rule, fringes, drift handling."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from balldiff import (
     sample_gaussian_field,
     simulate_double_slit,
 )
+from balldiff.config import double_slit_grid, load_config
 from balldiff.core import MIN_SAFETY_SPAN
 from balldiff.interference import _shift
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _slits(separation=6.0, dvx=2.0, sigma0=1.0):
@@ -189,6 +193,18 @@ def test_simulate_keeps_both_beam_densities(params):
     i2 = int(np.argmax(imap.p2[0]))
     assert grid.x[i1] == pytest.approx(-1.5, abs=grid.dx)
     assert grid.x[i2] == pytest.approx(+1.5, abs=grid.dx)
+
+
+@pytest.mark.parametrize("offset", [0.0, -0.0])
+def test_zero_shift_returns_the_row_bit_for_bit(offset):
+    cfg = load_config(CONFIGS / "doubleslit.cfg")
+    x = double_slit_grid(cfg).x
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        row = 10.0 ** rng.uniform(-300.0, 5.0, x.size)
+        got = _shift(row, x, offset)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), row.view(np.uint64))
 
 
 def _double_slit_per_beam(slits, grid, params, snapshot_times):
