@@ -193,24 +193,29 @@ def run_convergence(
     """Grid-refinement study against the closed-form spreading Gaussian.
 
     Each refinement halves dx and quarters dt, so a second-order scheme
-    should show the max-norm error dropping fourfold per level. Each level
-    runs to t_final snapped to a whole number of its dt, and is compared
-    with the Gaussian at the time it reached. Exits nonzero when the final
-    observed order leaves :data:`ORDER_WINDOW`.
+    should show the max-norm error dropping fourfold per level. Every level
+    runs to t_final snapped to a whole number of level 0's dt, which a
+    whole number of each finer dt reaches exactly, and is compared with the
+    Gaussian there. Exits nonzero when the final observed order leaves
+    :data:`ORDER_WINDOW`.
     """
     refinements = int(refinements)
     if refinements < 2:
         raise ValidationError(f"need at least 2 refinements, got {refinements}")
-    if cfg.t_final <= 0.0:
-        raise ValidationError("convergence study needs t_final > 0")
+    single_beam_grid(cfg)  # refuses a t_final out of range by name before it is snapped
+    t_reached = round(cfg.t_final / cfg.dt) * cfg.dt
+    if t_reached == 0.0:
+        raise ValidationError(f"convergence study needs t_final = {cfg.t_final:g} to round "
+                              f"to at least one step of dt = {cfg.dt:g}")
     out_dir = Path(out_dir)
 
     levels = list(range(refinements + 1))
     level_cfgs = [dataclasses.replace(cfg, dx=cfg.dx / 2**level, dt=cfg.dt / 4**level,
-                                      snapshot_times=(cfg.t_final,)) for level in levels]
+                                      t_final=t_reached, snapshot_times=(t_reached,))
+                  for level in levels]
     # each level is sized, its passes counted, before any runs: a refused level costs nothing
     for level_cfg in level_cfgs:
-        count_passes(single_beam_grid(level_cfg), cfg.state, cfg.params, (cfg.t_final,))
+        count_passes(single_beam_grid(level_cfg), cfg.state, cfg.params, (t_reached,))
     errors = []
     for level, level_cfg in zip(levels, level_cfgs):
         grid, [last], _ = _evolve_packet(level_cfg)

@@ -21,8 +21,8 @@ from .errors import ResourceLimitError, ValidationError
 #: so an over-long run would otherwise exhaust memory instead of failing fast.
 DEFAULT_NX_CAP = 2**22
 
-#: Upper bound on macro steps; the stepper keeps one 8 B substep count per macro
-#: step, so a tiny dt would otherwise exhaust memory instead of failing fast.
+#: Upper bound on macro steps; it keeps ``math.ceil`` of the step count and every
+#: snapshot's step index finite, so a tiny dt is refused by name, not overflowed.
 MAX_STEPS = 2**22
 
 #: Least half-width, in sigma(t), a grid leaves around each packet: the floor

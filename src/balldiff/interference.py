@@ -86,8 +86,8 @@ def simulate_double_slit(
     Beams evolve in their co-moving frames on the shared grid; the drift
     ``v_i * t`` is applied afterwards as a linear-interpolation shift.
     Both beams share sigma0, the grid and dt, so every stencil nu: they
-    march together as the two rows of one array, with one substep schedule
-    and one kernel call per snapshot segment.
+    march together as the two rows of one array, with one nu and one kernel
+    call per snapshot segment.
     Both per-beam densities are kept in the output for diagnostics; each
     is normalized to unit mass, so the composed total is not.
 

@@ -105,7 +105,9 @@ def test_spread_at_t_zero_reproduces_initial(tmp_path):
 
 
 def test_spread_tolerance_failure_sets_exit_code(tmp_path, capsys):
-    text = BASE + "\n[output]\nsigma_rel_tol = 1e-12\n"
+    # the exact tau per segment leaves sigma only the domain's truncation: 1.2e-5 at
+    # safety_span = 5, against rounding (2.2e-16) at the default 10
+    text = BASE + "safety_span = 5\n\n[output]\nsigma_rel_tol = 1e-12\n"
     out = tmp_path / "out"
     assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 1
     assert "tolerance" in capsys.readouterr().err
@@ -247,11 +249,45 @@ def test_convergence_compares_each_level_at_the_time_it_reached(tmp_path, capsys
     assert np.all((lo <= orders[:, 1]) & (orders[:, 1] <= hi)), orders[:, 1]
 
 
+def test_convergence_runs_every_level_to_the_time_level_0_reached(tmp_path, capsys,
+                                                                  monkeypatch):
+    # t_final = 0.3 rounds to one step of dt = 0.5; each level snapping t_final to its own
+    # dt would reach 0.5, 0.25, 0.3125 and 0.296875, and read orders 1.343, 1.866, 2.032
+    ran = []
+
+    def evolve(initial, grid, state, params, snapshot_times):
+        ran.append(tuple(snapshot_times))
+        return stepper.evolve(initial, grid, state, params, snapshot_times)
+
+    monkeypatch.setattr(cli, "evolve", evolve)
+    text = "[grid]\ndx = 0.2\ndt = 0.5\nt_final = 0.3\n"
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == 0, capsys.readouterr().err
+    assert ran == [(0.5,)] * 4
+    _, orders = read_table(out / "orders.txt")
+    assert np.round(orders[:, 1], 3).tolist() == [2.038, 2.009, 1.943]
+
+
+def test_convergence_refuses_a_t_final_that_rounds_to_no_step(tmp_path, capsys, monkeypatch):
+    def evolve(*_):
+        pytest.fail("a convergence level ran")
+
+    monkeypatch.setattr(cli, "evolve", evolve)
+    text = "[grid]\ndx = 0.2\ndt = 1.0\nt_final = 0.3\n"
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == ("error: convergence study needs t_final = 0.3 to round "
+                                       "to at least one step of dt = 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra, args, max_passes, reason", [
     ("nx_cap = 500\n", [], None, "grid would need 897 nodes (cap 500)"),
     ("", ["--refinements", "9"], None, "macro steps (cap "),
-    # levels 0-2 take 20, 80 and 320 passes, level 3 takes 1,280
-    ("", [], 1000, "run would need 1.28e+03 stencil passes (cap 1000)"),
+    # levels 0-2 take 8, 32 and 125 passes, level 3 takes 500
+    ("", [], 400, "run would need 500 stencil passes (cap 400)"),
 ], ids=["nx_cap", "macro_step_cap", "pass_cap"])
 def test_convergence_refuses_a_level_before_any_level_runs(tmp_path, capsys, monkeypatch,
                                                            extra, args, max_passes, reason):
@@ -279,7 +315,7 @@ def test_convergence_rejects_single_refinement(tmp_path, capsys):
 @pytest.mark.parametrize("pps", [8, 10], ids=["zero_over_zero", "zero_over_nonzero"])
 def test_convergence_with_an_error_of_zero_reports_no_order(tmp_path, capsys, pps):
     # a packet this heavy does not spread: some levels match the exact Gaussian to the bit
-    text = f"[physical]\nmass = 1e300\n[grid]\npoints_per_sigma0 = {pps}\ndt = 1.0\nt_final = 0.1\n"
+    text = f"[physical]\nmass = 1e300\n[grid]\npoints_per_sigma0 = {pps}\ndt = 0.1\nt_final = 0.1\n"
     out = tmp_path / "o"
     assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
                  "--quiet"]) == 1
@@ -343,8 +379,9 @@ def test_sweep_unknown_target_rejected(tmp_path, capsys):
 
 
 def test_sweep_failing_point_recorded(tmp_path):
-    # second point exceeds an impossible tolerance, first passes
-    text = (BASE + "\n[output]\nsigma_rel_tol = 0.01\n"
+    # second point exceeds an impossible tolerance, first passes; safety_span = 5 leaves
+    # sigma a truncation error of 1.2e-5, where the default 10 leaves only rounding
+    text = (BASE + "safety_span = 5\n\n[output]\nsigma_rel_tol = 0.01\n"
             "\n[sweep]\ncommand = spread\noutput.sigma_rel_tol = 0.01, 1e-15\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 1

@@ -1,9 +1,12 @@
 """Finite-difference stepper: stencil arithmetic, substepping, conservation."""
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balldiff import (
     DomainTooSmallError,
@@ -16,12 +19,14 @@ from balldiff import (
     evolve,
     gaussian_pdf,
     grid_spanning,
+    make_physical_params,
     sample_gaussian_field,
     second_moment_sigma,
 )
 from balldiff import stepper
 from balldiff.analytic import diffusion_coefficient
-from balldiff.stepper import STABILITY_TARGET, StepperReport, _edge_fraction, _snap_indices
+from balldiff.stepper import (STABILITY_TARGET, StepperReport, _edge_fraction,
+                              _segment_passes, _snap_indices, count_passes)
 
 
 def _spread_setup(dx, dt, t_final, params, state):
@@ -138,11 +143,11 @@ def test_evolve_three_node_grid_leaks_whole_mass(params, unit_state):
 
 
 def test_evolve_refuses_schedule_over_pass_cap(params, unit_state):
-    # dx = 0.001 to t = 100 needs about 3.1e9 passes; the cap refuses it before
-    # the schedule is allocated (the grid is narrow, since only dx sets the count)
+    # dx = 0.001 to t = 100 needs tau(100) / (0.4 dx^2) = 3.125e9 passes; the cap refuses
+    # it before any pass runs (the grid is narrow, since only dx sets the count)
     grid = grid_spanning(0.0, 1.0, 0.001, dt=0.1, t_final=100.0)
     f0 = sample_gaussian_field(unit_state, grid)
-    with pytest.raises(ResourceLimitError, match=r"3\.13e\+09 stencil passes .*dx or shorten t_final"):
+    with pytest.raises(ResourceLimitError, match=r"3\.12e\+09 stencil passes .*dx or shorten t_final"):
         evolve(f0, grid, unit_state, params, [100.0])
 
 
@@ -214,7 +219,12 @@ def test_error_drops_fourfold_when_dx_halves(params, unit_state):
 
 def _evolve_per_macro_step(initial, grid, state, params, snapshot_times, apply_passes,
                            leak_threshold=1e-6):
-    """Reference: the substep schedule worked out one macro step at a time."""
+    """Reference: one macro step at a time, and at each snapshot step the passes of the
+    segment since the last one, worked out in scalars from tau(t) = D^2 t^2 / (2 sigma0^2).
+
+    A segment [t_a, t_b] needs (tau(t_b) - tau(t_a)) / dx^2 = D_t((t_a + t_b) / 2) (t_b - t_a)
+    / dx^2 in total nu, split into the fewest equal passes at or below the stability target.
+    """
     t0 = initial.time
     indices = _snap_indices(snapshot_times, grid, t0)
     wanted = {}
@@ -223,7 +233,8 @@ def _evolve_per_macro_step(initial, grid, state, params, snapshot_times, apply_p
     sigma0, d, dx2 = state.sigma0, params.diffusivity, grid.dx**2
     v = np.array(initial.values, dtype=np.float64)
     mass0 = float(initial.values.sum() * grid.dx)
-    snapshots, max_nu, total_substeps, worst_leak = [], 0.0, 0, 0.0
+    snapshots, max_nu, total_passes, worst_leak = [], 0.0, 0, 0.0
+    t_last = t0
 
     def emit(step):
         nonlocal worst_leak
@@ -240,21 +251,20 @@ def _evolve_per_macro_step(initial, grid, state, params, snapshot_times, apply_p
     if 0 in wanted:
         emit(0)
     for m in range(1, max(indices) + 1):
-        t_end = t0 + m * grid.dt
-        nu_end = diffusion_coefficient(t_end, sigma0, d) * grid.dt / dx2
-        n_sub = max(1, math.ceil(nu_end / STABILITY_TARGET - 1e-12))
-        sub_dt = grid.dt / n_sub
-        sub_ends = t0 + (m - 1) * grid.dt + sub_dt * np.arange(1, n_sub + 1)
-        nus = diffusion_coefficient(sub_ends, sigma0, d) * (sub_dt / dx2)
-        v = apply_passes(v, nus)
-        max_nu = max(max_nu, float(nus[-1]))
-        total_substeps += n_sub
-        if m in wanted:
-            emit(m)
+        if m not in wanted:
+            continue
+        t = t0 + m * grid.dt
+        nu_total = d**2 * ((t_last + t) / 2) / sigma0**2 * (t - t_last) / dx2
+        n = max(1, math.ceil(nu_total / STABILITY_TARGET - 1e-12))
+        v = apply_passes(v, np.full(n, nu_total / n))
+        max_nu = max(max_nu, nu_total / n)
+        total_passes += n
+        t_last = t
+        emit(m)
     mass_final = float(v.sum() * grid.dx)
     report = StepperReport(
         macro_steps=max(indices),
-        total_substeps=total_substeps,
+        total_substeps=total_passes,
         max_courant=max_nu,
         mass_drift=abs(mass_final - mass0) / mass0,
         boundary_leak=worst_leak,
@@ -321,16 +331,53 @@ def test_evolve_schedule_raises_leak_at_same_snapshot(monkeypatch, params, unit_
 
 
 def test_evolve_builds_one_segment_schedule_at_a_time(params, unit_state):
-    # 1,003 nodes and 12,650 passes in 10 segments; a whole-run schedule of about
-    # 40 B per pass would hold 0.5 MB on top of the eleven snapshots
+    # 1,003 nodes and 12,502 passes in 5 segments about equal in tau, the largest of
+    # 2,547 passes; a whole-run nu array of 8 B per pass would hold 100 kB by itself
     grid = grid_spanning(0.0, 5.0 * analytic_sigma(100.0, 1.0, params.diffusivity), 0.5,
                          dt=0.5, t_final=100.0)
     f0 = sample_gaussian_field(unit_state, grid)
     tracemalloc.start()
     try:
-        snaps, report = evolve(f0, grid, unit_state, params, [10.0 * i for i in range(11)])
+        snaps, report = evolve(f0, grid, unit_state, params,
+                               [0.0, 44.5, 63.0, 77.5, 89.5, 100.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (grid.nx, report.total_substeps, len(snaps)) == (1003, 12650, 11)
-    assert peak <= 24 * report.total_substeps
+    assert (grid.nx, report.total_substeps, len(snaps)) == (1003, 12502, 6)
+    # the largest segment's nu array, each snapshot held twice at the end (march's arrays
+    # and evolve's fields), and three more node arrays: the working copy and kernel buffers
+    assert peak <= 8 * 2547 + (2 * len(snaps) + 3) * 8 * grid.nx
+
+
+@settings(max_examples=200, deadline=None)
+@given(t0=st.floats(0.0, 5.0), dt=st.floats(1e-3, 0.25), dx=st.floats(0.1, 1.0),
+       sigma0=st.floats(0.5, 2.0), diffusivity=st.floats(0.05, 1.0),
+       steps=st.lists(st.integers(0, 20), min_size=1, max_size=6).map(sorted))
+def test_segment_rule_gives_exact_tau_in_the_fewest_stable_passes(t0, dt, dx, sigma0,
+                                                                  diffusivity, steps):
+    grid = Grid1D(x_min=-4.0 * dx, dx=dx, nx=9, dt=dt, n_steps=max(1, *steps))
+    segments = _segment_passes(t0, steps, grid, sigma0, diffusivity)
+    assert sorted(segments) == sorted(set(steps) - {0})
+    t_a = t0
+    for step, (n, nu) in sorted(segments.items()):
+        t_b = t0 + step * dt
+        # exact rationals: tau(t_b) - tau(t_a) of the segment's float bounds, and what
+        # n passes of nu deliver
+        tau = Fraction(diffusivity)**2 * (Fraction(t_b)**2 - Fraction(t_a)**2) / (
+            2 * Fraction(sigma0)**2)
+        delivered = n * Fraction(nu) * Fraction(dx)**2
+        assert abs(delivered - tau) <= 6 * 2**-52 * tau
+        assert nu <= STABILITY_TARGET * (1 + 1e-12)
+        assert n == 1 or tau / ((n - 1) * Fraction(dx)**2) > STABILITY_TARGET
+        t_a = t_b
+
+    # evolve from t = 0 runs exactly the passes count_passes counts
+    state = GaussianState(sigma0=sigma0)
+    params = make_physical_params(2.0 * diffusivity, 1.0)  # diffusivity hbar / (2 mass)
+    field = Field(time=0.0, values=np.eye(1, 9, 4)[0] / dx)
+    times = [step * dt for step in steps]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "apply_passes", lambda values, nus: values)
+        _, report = evolve(field, grid, state, params, times)
+    assert report.total_substeps == count_passes(grid, state, params, times)
+    assert report.macro_steps == steps[-1]
