@@ -18,7 +18,7 @@ static void stencil_pass(const double *restrict a, double *restrict b,
         b[i] = a[i] + nu * ((a[i + 1] - 2.0 * a[i]) + a[i - 1]);
 }
 
-static PyObject *apply_passes(PyObject *self, PyObject *args)
+static PyObject *apply_passes(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *values_obj, *nus_obj;
     if (!PyArg_ParseTuple(args, "OO:apply_passes", &values_obj, &nus_obj))
@@ -73,6 +73,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_stencil", "Compiled three-point stencil kernel.", -1, methods,
+    NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC PyInit__stencil(void)

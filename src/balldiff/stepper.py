@@ -14,7 +14,6 @@ tau, and left sigma a relative error of up to 2.1e-4.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,12 @@ def sample_gaussian_field(state: GaussianState, grid: Grid1D) -> Field:
     return Field(time=0.0, values=v / total)
 
 
-def _snap_indices(snapshot_times, grid: Grid1D, t0: float) -> list[int]:
+def _segments(snapshot_times, grid: Grid1D, t0: float, sigma0: float,
+              diffusivity: float) -> list[tuple[int, int, float]]:
+    """``(step, n, nu)`` per requested time: the macro step it snaps to, and the fewest
+    equal passes at or below :data:`STABILITY_TARGET` that add up to the exact
+    tau(t_b) - tau(t_a) of the segment from the time before it (or ``t0``); n = nu = 0
+    where no time passes. Refuses a run over :data:`MAX_PASSES` passes."""
     times = np.asarray(snapshot_times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("snapshot_times must be a non-empty 1-d sequence")
@@ -78,35 +82,22 @@ def _snap_indices(snapshot_times, grid: Grid1D, t0: float) -> list[int]:
     with np.errstate(over="ignore"):  # an overflowing step count is inf, refused below
         steps = np.rint((times - t0) / grid.dt)
     if np.any(steps > grid.n_steps):
-        raise ValidationError(
-            f"snapshot_times reach past the final step t={t0 + grid.t_final}"
-        )
-    return [int(i) for i in steps]
-
-
-def _segment_passes(t0: float, indices, grid: Grid1D, sigma0: float,
-                    diffusivity: float) -> dict[int, tuple[int, float]]:
-    """``{step: (n, nu)}`` for each macro step of ``indices`` after 0, for the segment
-    from the index before it (or 0): the fewest equal passes that stay at or below
-    :data:`STABILITY_TARGET` and add up to the segment's exact tau(t_b) - tau(t_a).
-    Refuses a run over :data:`MAX_PASSES` passes."""
-    steps = sorted(set(indices) - {0})
-    bounds = t0 + np.array([0, *steps]) * grid.dt
+        raise ValidationError(f"snapshot_times reach past the final step t={t0 + grid.t_final}")
+    bounds = t0 + np.concatenate(([0.0], steps)) * grid.dt
     t_a, t_b = bounds[:-1], bounds[1:]
     # D_t is linear in t, so its midpoint value times the length is the exact integral
     total = diffusion_coefficient((t_a + t_b) / 2, sigma0, diffusivity) * (t_b - t_a) / grid.dx**2
-    n = np.maximum(np.ceil(total / STABILITY_TARGET - 1e-12), 1.0)
+    n = np.where(total == 0.0, 0.0, np.maximum(np.ceil(total / STABILITY_TARGET - 1e-12), 1.0))
     if not n.sum() <= MAX_PASSES:  # also refuses nan
         raise ResourceLimitError(f"run would need {n.sum():.3g} stencil passes "
                                  f"(cap {MAX_PASSES}); raise dx or shorten t_final")
-    return dict(zip(steps, zip(n.astype(np.int64).tolist(), (total / n).tolist())))
+    return list(zip(steps.astype(np.int64).tolist(), n.astype(np.int64).tolist(),
+                    (total / np.maximum(n, 1.0)).tolist()))
 
 
 def count_passes(grid: Grid1D, state: GaussianState, params: PhysicalParams, times) -> int:
     """Stencil passes :func:`evolve` runs from t = 0 to ``times``, refused as it refuses them."""
-    segments = _segment_passes(0.0, _snap_indices(times, grid, 0.0), grid, state.sigma0,
-                               params.diffusivity)
-    return sum(n for n, _ in segments.values())
+    return sum(n for _, n, _ in _segments(times, grid, 0.0, state.sigma0, params.diffusivity))
 
 
 def _edge_fraction(v: np.ndarray) -> float:
@@ -127,11 +118,11 @@ def evolve(
 ) -> tuple[list[Field], StepperReport]:
     """March the density forward, emitting snapshots at the requested times.
 
-    Requested times snap to the nearest completed macro step. Each snapshot
-    segment [t_a, t_b] runs in one kernel call of n equal passes, the fewest
-    whose ``nu`` stays at or below :data:`STABILITY_TARGET`, with ``dx**2 * n * nu``
-    the exact tau(t_b) - tau(t_a). :func:`march` is that loop; the
-    double-slit beams run it as two rows at once.
+    Requested times snap to the nearest macro step of ``grid.dt``. The segment
+    [t_a, t_b] that ends at each runs in one kernel call of n equal passes, the
+    fewest whose ``nu`` stays at or below :data:`STABILITY_TARGET`, with
+    ``dx**2 * n * nu`` the exact tau(t_b) - tau(t_a); a repeated time runs none.
+    :func:`march` is that loop; the double-slit beams run it as two rows at once.
 
     Raises :class:`DomainTooSmallError` as soon as a snapshot holds more
     than :data:`_LEAK_THRESHOLD` of its mass within :data:`_EDGE_CELLS`
@@ -150,8 +141,9 @@ def march(
     ``(rows, nx)``, each row a unit-mass density that evolves on its own.
 
     Returns ``(t, values at t)`` per requested time and one report: the
-    leak and mass drift are the worst over the rows. The kernel runs once
-    per snapshot segment for all rows together.
+    leak and mass drift are the worst over the rows. One pass over the
+    ``(step, n, nu)`` list of :func:`_segments` runs the kernel once per
+    segment with passes, for all rows together.
     """
     v = np.array(values, dtype=np.float64)
     if v.shape[-1] != grid.nx:
@@ -160,13 +152,11 @@ def march(
     for m in mass0:
         if abs(m - 1.0) > _MASS_TOL:
             raise ValidationError(f"initial field mass {m!r} is not 1 within {_MASS_TOL}")
-    wanted = Counter(_snap_indices(snapshot_times, grid, t0))
-    segments = _segment_passes(t0, wanted, grid, sigma0, diffusivity)
+    segments = _segments(snapshot_times, grid, t0, sigma0, diffusivity)
     snapshots: list[tuple[float, np.ndarray]] = []
     worst_leak = 0.0
-    for step, count in wanted.items():  # ascending: _snap_indices rejects unsorted times
-        if step in segments:
-            n, nu = segments[step]
+    for step, n, nu in segments:
+        if n:
             v = apply_passes(v, np.full(n, nu))
         t = t0 + step * grid.dt
         leak = max(_edge_fraction(row) for row in np.atleast_2d(v))
@@ -175,12 +165,12 @@ def march(
             raise DomainTooSmallError(
                 f"boundary holds {leak:.3e} of the mass at t={t}; widen the domain"
             )
-        snapshots.extend((t, v) for _ in range(count))
+        snapshots.append((t, v))
 
     return snapshots, StepperReport(
-        macro_steps=max(wanted),
-        total_substeps=sum(n for n, _ in segments.values()),
-        max_courant=max((nu for _, nu in segments.values()), default=0.0),
+        macro_steps=segments[-1][0],
+        total_substeps=sum(n for _, n, _ in segments),
+        max_courant=max(nu for _, _, nu in segments),
         mass_drift=max(abs(float(row.sum() * grid.dx) - m) / m
                        for row, m in zip(np.atleast_2d(v), mass0)),
         boundary_leak=worst_leak,

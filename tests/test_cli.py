@@ -283,27 +283,48 @@ def test_convergence_refuses_a_t_final_that_rounds_to_no_step(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra, args, max_passes, reason", [
-    ("nx_cap = 500\n", [], None, "grid would need 897 nodes (cap 500)"),
-    ("", ["--refinements", "9"], None, "macro steps (cap "),
+@pytest.mark.parametrize("edit, args, max_passes, reason", [
+    (("[grid]\n", "[grid]\nnx_cap = 500\n"), [], None, "grid would need 897 nodes (cap 500)"),
+    (("dt = 0.05", "dt = 1e-7"), [], None, "run would need 1e+07 macro steps (cap 4194304)"),
     # levels 0-2 take 8, 32 and 125 passes, level 3 takes 500
-    ("", [], 400, "run would need 500 stencil passes (cap 400)"),
-], ids=["nx_cap", "macro_step_cap", "pass_cap"])
+    (("", ""), [], 400, "run would need 500 stencil passes (cap 400)"),
+    # levels are sized one by one, so the pass cap stops the loop at level 11, long
+    # before 2**level leaves the float range at level 1024
+    (("", ""), ["--refinements", "600"], None, "run would need 3.28e+07 stencil passes"),
+    (("", ""), ["--refinements", "1100"], None, "run would need 3.28e+07 stencil passes"),
+], ids=["nx_cap", "macro_step_cap", "pass_cap", "refinements_600", "refinements_1100"])
 def test_convergence_refuses_a_level_before_any_level_runs(tmp_path, capsys, monkeypatch,
-                                                           extra, args, max_passes, reason):
+                                                           edit, args, max_passes, reason):
     def evolve(*_):
         pytest.fail("a convergence level ran before every level was sized")
 
     monkeypatch.setattr(cli, "evolve", evolve)
     if max_passes is not None:
         monkeypatch.setattr(stepper, "MAX_PASSES", max_passes)
-    text = (CONFIGS / "convergence.cfg").read_text().replace("[grid]\n", "[grid]\n" + extra)
+    text = (CONFIGS / "convergence.cfg").read_text().replace(*edit)
     out = tmp_path / "o"
     assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
                  "--quiet", *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and reason in err, err
     assert not out.exists()
+
+
+def test_convergence_keeps_dt_so_a_fine_dt_is_not_refused(tmp_path, capsys):
+    # every level runs one segment to t_final, so dt = 1e-5 sets the same passes as 0.05;
+    # a dt quartered per level would ask level 3 for 6.4e6 macro steps, past the step cap
+    errors = []
+    for dt in ("0.05", "1e-5"):
+        text = BASE.replace("dx = 0.1", "dx = 0.2").replace("dt = 0.05", f"dt = {dt}")
+        out = tmp_path / dt
+        assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
+                     "--quiet"]) == 0, capsys.readouterr().err
+        _, orders = read_table(out / "orders.txt")
+        lo, hi = cli.ORDER_WINDOW
+        assert np.all((lo <= orders[:, 1]) & (orders[:, 1] <= hi)), orders[:, 1]
+        names, conv = read_table(out / "convergence.txt")
+        errors.append(conv[:, names.index("linf_error")])
+    assert np.array_equal(errors[0], errors[1])
 
 
 def test_convergence_rejects_single_refinement(tmp_path, capsys):
@@ -933,19 +954,19 @@ def test_convergence_table_matches_per_level_reference(tmp_path):
                  "--refinements", "2", "--quiet"]) == 0
     cfg = load_config(tmp_path / "run.cfg")
     sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
-    levels, dxs, dts, errors = [0, 1, 2], [], [], []
+    levels, dxs, passes, errors = [0, 1, 2], [], [], []
     for level in levels:
-        dx, dt = cfg.dx / 2**level, cfg.dt / 4**level
-        grid = grid_spanning(cfg.state.center, cfg.safety_span * sigma_end, dx, dt=dt,
+        dx = cfg.dx / 2**level
+        grid = grid_spanning(cfg.state.center, cfg.safety_span * sigma_end, dx, dt=cfg.dt,
                              t_final=cfg.t_final, nx_cap=cfg.nx_cap)
-        snaps, _ = evolve(sample_gaussian_field(cfg.state, grid), grid, cfg.state,
-                          cfg.params, [cfg.t_final])
+        snaps, report = evolve(sample_gaussian_field(cfg.state, grid), grid, cfg.state,
+                               cfg.params, [cfg.t_final])
         exact = gaussian_pdf(grid.x, cfg.state.center, sigma_end)
         dxs.append(dx)
-        dts.append(dt)
+        passes.append(report.total_substeps)
         errors.append(float(np.max(np.abs(snaps[-1].values - exact))))
-    write_table(tmp_path / "reference.txt", ["level", "dx", "dt", "linf_error"],
-                [levels, dxs, dts, errors])
+    write_table(tmp_path / "reference.txt", ["level", "dx", "passes", "linf_error"],
+                [levels, dxs, passes, errors])
     assert (out / "convergence.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
 
 
@@ -999,8 +1020,8 @@ def test_out_of_memory_reported(tmp_path, capsys, monkeypatch):
 
 
 _NX_CAP_5 = BASE + "nx_cap = 5\n"
-# convergence sizes all four levels before level 0 meets the pass cap: a span of 5 keeps
-# level 3 (4.0e6 nodes) under the default nx_cap
+# a span of 5 keeps every grid here under the default nx_cap (convergence's level 0:
+# 5.0e5 nodes), so the pass cap is what refuses each run
 _PASS_CAP = (BASE.replace("dx = 0.1", "dx = 0.001").replace("dt = 0.05", "dt = 0.1")
              .replace("t_final = 1.0", "t_final = 100\nsafety_span = 5.0"))
 

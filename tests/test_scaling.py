@@ -115,7 +115,7 @@ def test_convergence_is_dyadic_scale_invariant(monkeypatch, tmp_path, kernel, k)
     scaled = _columns(tmp_path / str(k) / "convergence.txt")
     assert np.array_equal(scaled["level"], base["level"])
     assert np.array_equal(scaled["dx"], base["dx"] * 2.0**k)
-    assert np.array_equal(scaled["dt"], base["dt"] * 4.0**k)
+    assert np.array_equal(scaled["passes"], base["passes"])
     assert np.array_equal(scaled["linf_error"], base["linf_error"] * 2.0**-k)
     orders = [(tmp_path / str(scale) / "orders.txt").read_bytes() for scale in (0, k)]
     assert orders[0] == orders[1]
@@ -192,7 +192,6 @@ def test_convergence_is_hbar_scale_invariant(monkeypatch, tmp_path, kernel, k):
     base = _columns(tmp_path / "0" / "convergence.txt")
     scaled = _columns(tmp_path / str(k) / "convergence.txt")
     for name in base:
-        factor = 2.0**-k if name == "dt" else 1.0
-        assert np.array_equal(scaled[name], base[name] * factor), name
+        assert np.array_equal(scaled[name], base[name]), name
     orders = [(tmp_path / str(scale) / "orders.txt").read_bytes() for scale in (0, k)]
     assert orders[0] == orders[1]

@@ -132,9 +132,11 @@ def test_small_spread_run_matches_sine_basis_oracle(tmp_path, monkeypatch, kerne
 def test_convergence_level_matches_sine_basis_oracle(monkeypatch, kernel, level):
     monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
     base = load_config(CONFIGS / "convergence.cfg")
-    # the level run_convergence runs: dx halved and dt quartered per level, one snapshot
-    cfg = dataclasses.replace(base, dx=base.dx / 2**level, dt=base.dt / 4**level,
-                              snapshot_times=(base.t_final,))
+    # the level run_convergence runs: dx halved per level, dt kept, one snapshot at
+    # t_final snapped to a whole number of dt
+    t_reached = round(base.t_final / base.dt) * base.dt
+    cfg = dataclasses.replace(base, dx=base.dx / 2**level, t_final=t_reached,
+                              snapshot_times=(t_reached,))
     grid, initial, snaps, report = _packet_run(cfg)
     assert grid.nx == 2**level * 112 + 1
     worst = _oracle_ulps(initial, snaps, report, grid, cfg.state.sigma0, cfg.params.diffusivity)

@@ -25,8 +25,8 @@ from balldiff import (
 )
 from balldiff import stepper
 from balldiff.analytic import diffusion_coefficient
-from balldiff.stepper import (STABILITY_TARGET, StepperReport, _edge_fraction,
-                              _segment_passes, _snap_indices, count_passes)
+from balldiff.stepper import (STABILITY_TARGET, StepperReport, _edge_fraction, _segments,
+                              count_passes)
 
 
 def _spread_setup(dx, dt, t_final, params, state):
@@ -226,7 +226,7 @@ def _evolve_per_macro_step(initial, grid, state, params, snapshot_times, apply_p
     / dx^2 in total nu, split into the fewest equal passes at or below the stability target.
     """
     t0 = initial.time
-    indices = _snap_indices(snapshot_times, grid, t0)
+    indices = [int(i) for i in np.rint((np.asarray(snapshot_times) - t0) / grid.dt)]
     wanted = {}
     for i in indices:
         wanted[i] = wanted.get(i, 0) + 1
@@ -352,15 +352,20 @@ def test_evolve_builds_one_segment_schedule_at_a_time(params, unit_state):
 @settings(max_examples=200, deadline=None)
 @given(t0=st.floats(0.0, 5.0), dt=st.floats(1e-3, 0.25), dx=st.floats(0.1, 1.0),
        sigma0=st.floats(0.5, 2.0), diffusivity=st.floats(0.05, 1.0),
-       steps=st.lists(st.integers(0, 20), min_size=1, max_size=6).map(sorted))
+       # every list holds step 0 and a repeated step, where no time passes
+       steps=st.lists(st.integers(0, 20), min_size=1, max_size=6).map(
+           lambda s: sorted([0, *s, max(s)])))
 def test_segment_rule_gives_exact_tau_in_the_fewest_stable_passes(t0, dt, dx, sigma0,
                                                                   diffusivity, steps):
     grid = Grid1D(x_min=-4.0 * dx, dx=dx, nx=9, dt=dt, n_steps=max(1, *steps))
-    segments = _segment_passes(t0, steps, grid, sigma0, diffusivity)
-    assert sorted(segments) == sorted(set(steps) - {0})
+    segments = _segments([t0 + step * dt for step in steps], grid, t0, sigma0, diffusivity)
+    assert [step for step, _, _ in segments] == steps
     t_a = t0
-    for step, (n, nu) in sorted(segments.items()):
+    for step, n, nu in segments:
         t_b = t0 + step * dt
+        if t_b == t_a:  # step 0, or a step repeated: no time passes, so no pass runs
+            assert (n, nu) == (0, 0.0)
+            continue
         # exact rationals: tau(t_b) - tau(t_a) of the segment's float bounds, and what
         # n passes of nu deliver
         tau = Fraction(diffusivity)**2 * (Fraction(t_b)**2 - Fraction(t_a)**2) / (
