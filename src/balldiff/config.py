@@ -58,8 +58,8 @@ _DOMAINS = {
     "()": (lambda v, lo, hi: lo < v < hi, "lie in ({0:.3g}, {1:.3g})"),
 }
 
-#: Largest float spacing, in cells, at the outer nodes of a single-beam grid: every
-#: node then rounds by under a thousandth of a cell, far inside the run's tolerances.
+#: Largest float spacing, in cells, at the outer nodes of every grid (one packet, two beams,
+#: each convergence level): nodes then round by under a thousandth of a cell.
 _FLOAT_SPACING_MAX = 2.0**-10
 
 #: The diffusion coefficient squares the diffusivity, so it must not overflow.
@@ -279,16 +279,7 @@ def single_beam_grid(cfg: RunConfig) -> Grid1D:
     """Grid for a single-packet run, sized from the final spread."""
     with np.errstate(over="ignore"):  # an infinite width is refused by _grid_around
         sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
-    grid = _grid_around(cfg, cfg.state.center, cfg.safety_span * sigma_end)
-    # far from 0 the float spacing can reach dx, and no domain width resolves the packet there
-    spacing = math.ulp(max(abs(grid.x_min), abs(grid.x_max)))
-    if spacing > cfg.dx * _FLOAT_SPACING_MAX:
-        raise ConfigError(
-            f"{cfg.origin}: [packet] center = {cfg.state.center:g} lies too far from 0 "
-            f"for [grid] dx = {cfg.dx:g}: floats there are {spacing:.3g} apart; "
-            "move the center toward 0 or raise dx"
-        )
-    return grid
+    return _grid_around(cfg, cfg.state.center, cfg.safety_span * sigma_end)
 
 
 def double_slit_grid(cfg: RunConfig) -> Grid1D:
@@ -324,4 +315,14 @@ def _grid_around(cfg: RunConfig, center: float, half: float) -> Grid1D:
     if cfg.dx > 0.5 * cfg.state.sigma0:  # coarser nodes cannot sample the packet
         raise ConfigError(f"{cfg.origin}: [grid] dx = {cfg.dx:g} must be at most half of "
                           f"[packet] sigma0 = {cfg.state.sigma0:g}; lower dx")
-    return grid_spanning(center, half, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap)
+    grid = grid_spanning(center, half, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap)
+    # far from 0 the float spacing can reach dx, and then no domain width resolves the packet
+    edge = max(grid.x_min, grid.x_max, key=abs)
+    spacing = math.ulp(edge)
+    if spacing > cfg.dx * _FLOAT_SPACING_MAX:
+        raise ConfigError(
+            f"{cfg.origin}: [grid] dx = {cfg.dx:g} is too fine for the grid edge x = {edge:g}, "
+            f"where floats are {spacing:.3g} apart; raise dx"
+            + (f" or move [packet] center = {center:g} toward 0" if center else "")
+        )
+    return grid

@@ -123,8 +123,6 @@ def required_half_width(
     slits: SlitConfig, params: PhysicalParams, t_final: float, safety_span: float
 ) -> float:
     """Half-width around x = 0 holding both drifted, spread beams."""
-    if t_final < 0.0:
-        raise ValidationError(f"t_final must be >= 0, got {t_final!r}")
     need = 0.0
     for _, _, _, c, reach in _beam_extents(slits, params, t_final, safety_span):
         need = max(need, abs(c) + reach)

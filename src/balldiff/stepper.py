@@ -101,12 +101,9 @@ def count_passes(grid: Grid1D, state: GaussianState, params: PhysicalParams, tim
 
 
 def _edge_fraction(v: np.ndarray) -> float:
-    total = v.sum()
-    if total <= 0.0:
-        return 0.0
     # on grids of fewer than 2 * _EDGE_CELLS nodes the two edges meet; count each node once
     edge = v[:_EDGE_CELLS].sum() + v[max(_EDGE_CELLS, v.size - _EDGE_CELLS):].sum()
-    return float(edge / total)
+    return float(edge / v.sum())
 
 
 def evolve(

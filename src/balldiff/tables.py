@@ -15,6 +15,7 @@ the per-cell format either way.
 """
 from __future__ import annotations
 
+from array import array
 from itertools import chain
 from pathlib import Path
 
@@ -90,32 +91,27 @@ def write_table(path, column_names: list[str], columns: list) -> None:
 def read_table(path) -> tuple[list[str], np.ndarray]:
     """Parse a table back into (column_names, data) with data shaped (rows, cols).
 
-    Refuses a table without its header line, and a row that does not hold one
-    number per header name, naming the file and the row's line in it.
+    Skips blank lines. Refuses a table without its header line, and a row that
+    does not hold one number per header name, naming the file and the row's line.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ValidationError(f"{path}: missing '#' header line")
     names = lines[0][1:].split()
-    body = lines[1:]
-    if not any(line.strip() for line in body):  # loadtxt warns on no rows
-        return names, np.empty((0, len(names)))
-    try:
-        data = np.loadtxt(body, comments=None, ndmin=2)
-    except ValueError as exc:  # a ragged row, or a cell that is not a number: find its line
-        for no, line in ((no, line) for no, line in enumerate(body, start=2) if line.strip()):
-            try:
-                width = np.loadtxt([line], comments=None).size
-            except ValueError as bad:  # numpy's row and column count within this line alone
-                reason = str(bad).split(" at row")[0]
-                raise ValidationError(f"{path}: line {no}: {reason}") from None
-            if width != len(names):
-                raise ValidationError(f"{path}: line {no} holds {width} numbers for "
-                                      f"{len(names)} header names") from None
-        raise ValidationError(f"{path}: {str(exc).split(';')[0]}") from None
-    if data.shape[1] != len(names):
-        raise ValidationError(
-            f"{path}: {data.shape[1]} data columns but {len(names)} header names"
-        )
-    return names, data
+    cells, rows = array("d"), 0
+    for no, line in enumerate(lines[1:], start=2):
+        row = line.split()
+        if not row:
+            continue
+        if len(row) != len(names):
+            raise ValidationError(f"{path}: line {no} holds {len(row)} numbers for "
+                                  f"{len(names)} header names")
+        if "_" in line or not line.isascii():  # float() reads 1_5 as 15, and non-ASCII digits
+            raise ValidationError(f"{path}: line {no}: {line.strip()!r} is not plain numbers")
+        try:
+            cells.extend(map(float, row))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {no}: {exc}") from None
+        rows += 1
+    return names, np.frombuffer(cells, dtype=np.float64).reshape(rows, len(names))

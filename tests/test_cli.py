@@ -671,8 +671,9 @@ def test_unresolvable_center_names_center_and_dx(tmp_path, capsys, command, cent
     text = BASE.replace("sigma0 = 1.0\n", f"sigma0 = 1.0\ncenter = {center}\n")
     assert main([command, "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / 'run.cfg'}: [packet] center = {float(center):g} "
-                          "lies too far from 0 for [grid] dx = 0.1: floats there are ")
+    assert err.startswith(f"error: {tmp_path / 'run.cfg'}: [grid] dx = 0.1 is too fine for the "
+                          "grid edge x = ")
+    assert err.endswith(f"; raise dx or move [packet] center = {float(center):g} toward 0\n")
     assert "Traceback" not in err
 
 
@@ -680,6 +681,83 @@ def test_far_center_that_nodes_resolve_still_runs(tmp_path):
     text = BASE.replace("sigma0 = 1.0\n", "sigma0 = 1.0\ncenter = -1e11\n")
     assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
                  "--quiet"]) == 0
+
+
+#: A grid whose dx lies below the float spacing at its edges, with a centre of 0 and an
+#: nx_cap that lets its 2e14 nodes through: only the float-spacing refusal stops it.
+_FINER_THAN_FLOATS = (BASE.replace("sigma0 = 1.0\n", "sigma0 = 1.0\ncenter = 0\n")
+                      .replace("dx = 0.1", "dx = 1e-13") + f"nx_cap = {10**30}\n")
+#: Every convergence level takes 0 passes (D is 5e-301), so the levels halve dx until
+#: the float-spacing refusal stops them.
+_FINER_THAN_FLOATS_BY_LEVEL = (BASE.replace("mass = 1.0", "mass = 1e300")
+                               .replace("dx = 0.1", "points_per_sigma0 = 10")
+                               .replace("t_final = 1.0", "t_final = 0.1") + f"nx_cap = {10**30}\n")
+
+
+@pytest.mark.parametrize("argv, text, dx, edge", [
+    (["spread"], _FINER_THAN_FLOATS, "1e-13", "-11.1803"),
+    (["doubleslit"], _FINER_THAN_FLOATS + SLITS, "1e-13", "-12.1803"),
+    (["convergence", "--refinements", "1000000000"], _FINER_THAN_FLOATS_BY_LEVEL,
+     "1.45519e-12", "-10"),
+], ids=["spread", "doubleslit", "convergence_level"])
+def test_dx_finer_than_the_floats_at_the_grid_edge_names_dx_alone(tmp_path, capsys, argv, text,
+                                                                  dx, edge):
+    """Every grid meets the float-spacing refusal before any node array is built (for the
+    double slit that array would take 1.87 PiB), and a centre of 0 is not blamed."""
+    out = tmp_path / "o"
+    assert main([*argv, "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'run.cfg'}: [grid] dx = {dx} is too fine for the grid edge "
+        f"x = {edge}, where floats are 1.78e-15 apart; raise dx\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, old, new, message, tables", [
+    ("doubleslit", "fringe_cell_tol = 1.0", "fringe_cell_tol = 0.01",
+     "fringe offset 0.469 cells exceeds tolerance 0.01",
+     ["fringes.txt", *(f"intensity_{i:03d}.txt" for i in range(5))]),
+    ("doubleslit", "separation = 6.0", "separation = 80", "no interference maxima detected",
+     ["fringes.txt", *(f"intensity_{i:03d}.txt" for i in range(5))]),
+    ("trajectories", "homothety_tol = 0.01", "homothety_tol = 1e-9",
+     "homothety deviation 3.679e-04 exceeds tolerance 1e-09",
+     ["homothety.txt", "trajectories.txt"]),
+], ids=["fringe_offset", "no_maxima", "homothety"])
+def test_failed_check_exits_1_and_still_writes_its_tables(tmp_path, capsys, command, old, new,
+                                                         message, tables):
+    text = (CONFIGS / f"{command}.cfg").read_text()
+    assert old in text
+    out = tmp_path / "o"
+    assert main([command, "--config", _cfg(tmp_path, text.replace(old, new)), "--out", str(out),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in out.iterdir()) == tables
+
+
+def test_sweep_refuses_zero_workers(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(CONFIGS / "sweep_dvx.cfg"), "--out", str(out),
+                 "--workers", "0"]) == 1
+    assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, reason", [
+    ("spread", "\n[output]\nsnapshot_times = 0.5, 0.25\n",
+     "[output] snapshot_times must be sorted"),
+    ("sweep", "", "[sweep] section is required for sweep"),
+    ("sweep", "\n[sweep]\ncommand = convergence\ngrid.dx = 0.1\n",
+     "[sweep] command must be one of ['doubleslit', 'spread', 'trajectories'], "
+     "got 'convergence'"),
+    ("sweep", "\n[sweep]\ncommand = spread\noutput.directory = a, b\n",
+     "[sweep] cannot sweep str key 'output.directory'"),
+    ("sweep", "\n[sweep]\ncommand = spread\ngrid.dx = ,\n", "[sweep] grid.dx has no values"),
+], ids=["unsorted_snapshot_times", "sweep_without_section", "unknown_sweep_command",
+        "swept_directory", "sweep_without_values"])
+def test_config_refusal_names_its_section(tmp_path, capsys, command, extra, reason):
+    out = tmp_path / "o"
+    assert main([command, "--config", _cfg(tmp_path, BASE + extra), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'run.cfg'}: {reason}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("hbar, mass, dvx, reason", [

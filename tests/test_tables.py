@@ -107,14 +107,27 @@ def test_read_rejects_column_count_mismatch(tmp_path):
 @pytest.mark.parametrize("text, line", [
     ("# a b\n1 2\n3\n", 3), ("# a b\n1 2\n\n3 4\n5 6 7\n", 5), ("# a b\n1 x\n", 2),
     ("# a b\n1 2\n# c d\n", 3), ("# a b\n1 2\n\n3\n", 4), ("# a b\n1 2\n\n3 y\n", 4),
+    ("# a b\n1 2\n3 1_5\n", 3), ("# a b\n1 2\n3 \u0661\n", 3),
 ], ids=["ragged", "ragged_after_blank", "not_a_number", "comment_row", "short_after_blank",
-        "not_a_number_after_blank"])
+        "not_a_number_after_blank", "underscore", "arabic_indic_one"])
 def test_read_names_file_and_row_of_bad_row(tmp_path, text, line):
-    """The refusal names the file and the bad row's 1-based line in it, blank lines counted."""
+    """The refusal names the file and the bad row's 1-based line in it, blank lines counted.
+
+    float() alone would read 1_5 as 15, and the Arabic-Indic digit one as 1.
+    """
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: line {line}\b"):
         read_table(path)
+
+
+def test_read_takes_tabs_and_runs_of_spaces_between_cells(tmp_path):
+    path = tmp_path / "ws.txt"
+    path.write_text("# a  b\tc\n1\t2   3\n  4 \t 5\t\t-inf  \n")
+    names, data = read_table(path)
+    assert names == ["a", "b", "c"]
+    assert data.dtype == np.float64 and data.flags.writeable
+    assert data.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, -math.inf]]
 
 
 def test_no_timestamps_in_output(tmp_path):
