@@ -114,12 +114,9 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
                      ["p1", "p2", "p_total_normalized" if cfg.normalize_total else "p_total"],
                      zip(imap.p1, imap.p2, totals))
 
-    dvx = cfg.slits.dvx
-    if dvx != 0.0:
-        spacing = fringe_spacing(cfg.params, dvx)
-        x_det = detect_fringe_maxima(
-            imap.x_axis, imap.p1[-1], imap.p2[-1], imap.p_total[-1]
-        )
+    spacing = fringe_spacing(cfg.params, cfg.slits.dvx)
+    if math.isfinite(spacing):
+        x_det = detect_fringe_maxima(imap.x_axis, imap.p1[-1], imap.p2[-1], imap.p_total[-1])
         orders = np.rint(x_det / spacing)
         x_ref = orders * spacing
         err_cells = np.abs(x_det - x_ref) / grid.dx
@@ -127,14 +124,14 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
                     f"worst offset {err_cells.max() if err_cells.size else 0.0:.3f} cells")
     else:
         orders = x_det = x_ref = err_cells = np.empty(0)
-        _say(quiet, "doubleslit: dvx = 0, no fringes (beams add incoherently in phase)")
+        _say(quiet, "doubleslit: no fringes (spacing 2 pi hbar / (mass |dvx|) is infinite)")
     write_table(
         out_dir / "fringes.txt",
         ["n", "x_detected", "x_analytic", "error_cells"],
         [orders, x_det, x_ref, err_cells],
     )
 
-    if cfg.fringe_cell_tol is not None and dvx != 0.0:
+    if cfg.fringe_cell_tol is not None and math.isfinite(spacing):
         if x_det.size == 0:
             _complain("no interference maxima detected")
             return 1
@@ -214,8 +211,17 @@ def run_convergence(
     for level in levels:
         level_cfgs.append(dataclasses.replace(cfg, dx=cfg.dx / 2**level, t_final=t_reached,
                                               snapshot_times=(t_reached,)))
-        passes.append(count_passes(single_beam_grid(level_cfgs[-1]), cfg.state, cfg.params,
-                                   (t_reached,)))
+        try:
+            passes.append(count_passes(single_beam_grid(level_cfgs[-1]), cfg.state, cfg.params,
+                                       (t_reached,)))
+        except BalldiffError as exc:
+            if level == 0:
+                raise
+            # a refined level's dx comes from --refinements, and every study runs levels 0-2
+            reason = str(exc).removeprefix(f"{cfg.origin}: [grid] ").rpartition("; ")[0]
+            remedy = f"lower --refinements below {level}" if level > 2 else "raise [grid] dx"
+            raise type(exc)(f"convergence level {level} with dx = {level_cfgs[-1].dx:g} is "
+                            f"refused: {reason}; {remedy}") from exc
     errors = []
     for level, level_cfg in zip(levels, level_cfgs):
         grid, [last], _ = _evolve_packet(level_cfg)
@@ -282,8 +288,7 @@ def _point_metric(command: str, cfg: RunConfig, point_dir: Path) -> float:
         names, data = read_table(point_dir / "sigma_timeseries.txt")
         return float(data[:, names.index("rel_error")].max())
     if command == "doubleslit":
-        dvx = cfg.slits.dvx
-        return math.inf if dvx == 0.0 else fringe_spacing(cfg.params, dvx)
+        return fringe_spacing(cfg.params, cfg.slits.dvx)
     names, data = read_table(point_dir / "homothety.txt")
     if data.shape[0] == 0:
         return 0.0

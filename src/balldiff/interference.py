@@ -22,6 +22,9 @@ from .stepper import march, sample_gaussian_field
 #: Fringe search ignores cells whose beam envelope is below this fraction of its peak.
 _ENVELOPE_FLOOR = 1e-9
 
+#: Rounding bound of the cross term p_total - p1 - p2, in units of p1 + p2 + p_total.
+_ROUNDING = 8.0 * np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True)
 class IntensityMap:
@@ -141,26 +144,25 @@ def detect_fringe_maxima(
     ``(p_total - p1 - p2) / (2 sqrt(p1 p2))``, which recovers the phase
     cosine; maxima of the raw cross term are dragged toward the envelope
     peak and would not land on the cosine's crests. Cells where the
-    envelope is below :data:`_ENVELOPE_FLOOR` of its maximum are ignored.
+    envelope is below :data:`_ENVELOPE_FLOOR` of its maximum are ignored,
+    and a maximum counts only if it rises above both neighbours by more
+    than their rounding bounds, so a flat phase yields none.
     """
     envelope = 2.0 * np.sqrt(p1 * p2)
-    peak = envelope.max()
-    if peak <= 0.0:
-        return np.empty(0)
-    valid = envelope > _ENVELOPE_FLOOR * peak
-    ratio = np.where(valid, (p_total - p1 - p2) / np.where(valid, envelope, 1.0), np.nan)
+    valid = envelope > _ENVELOPE_FLOOR * envelope.max()  # none when the beams never overlap
+    scale = np.where(valid, envelope, 1.0)  # cells left invalid are masked out below
+    ratio = (p_total - p1 - p2) / scale
+    noise = _ROUNDING * (p1 + p2 + p_total) / scale  # bound on the ratio's rounding error
     ok = valid[1:-1] & valid[:-2] & valid[2:]
-    rising = ratio[1:-1] > ratio[:-2]
-    falling = ratio[1:-1] > ratio[2:]
+    rising = ratio[1:-1] - ratio[:-2] > noise[1:-1] + noise[:-2]
+    falling = ratio[1:-1] - ratio[2:] > noise[1:-1] + noise[2:]
     hits = np.nonzero(ok & rising & falling)[0] + 1
     return x[hits]
 
 
 def fringe_spacing(params: PhysicalParams, dvx: float) -> float:
-    """Distance between adjacent constructive maxima, 2 pi (hbar / (m |dvx|))."""
+    """Distance between adjacent maxima, 2 pi (hbar / (m |dvx|)); infinite where there are none."""
     if not math.isfinite(dvx):
         raise ValidationError(f"fringe spacing needs a finite dvx, got {dvx!r}")
-    momentum = params.mass * abs(dvx)  # 0 for dvx = 0, and on underflow
-    if momentum == 0.0:
-        raise ValidationError(f"fringe spacing is undefined for mass * |dvx| = 0 (dvx = {dvx!r})")
-    return 2.0 * math.pi * (params.hbar / momentum)  # 2 pi hbar may overflow
+    momentum = params.mass * abs(dvx)  # 2 pi hbar alone may overflow, so hbar / momentum first
+    return 2.0 * math.pi * (params.hbar / momentum) if momentum else math.inf

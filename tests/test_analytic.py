@@ -62,6 +62,19 @@ def test_analytic_sigma_rejects_negative_time():
         analytic_sigma(-0.1, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("sigma0, diffusivity, message", [
+    (0.0, 0.5, "sigma0 must be positive, got 0.0"),
+    (-1.0, 0.5, "sigma0 must be positive, got -1.0"),
+    (1.0, 0.0, "diffusivity must be positive, got 0.0"),
+    (1.0, math.nan, "diffusivity must be positive, got nan"),
+], ids=["zero_sigma0", "negative_sigma0", "zero_diffusivity", "nan_diffusivity"])
+def test_analytic_sigma_refuses_non_positive_sigma0_and_diffusivity(sigma0, diffusivity,
+                                                                     message):
+    with pytest.raises(ValidationError) as refused:
+        analytic_sigma(1.0, sigma0, diffusivity)
+    assert str(refused.value) == message
+
+
 def test_diffusion_coefficient_values():
     assert diffusion_coefficient(0.0, 1.0, 0.5) == 0.0
     assert diffusion_coefficient(2.0, 1.0, 1.0) == 2.0

@@ -115,6 +115,13 @@ def test_snapshot_times_validated(tmp_path):
         load_config(_write(tmp_path, negative))
 
 
+def test_empty_snapshot_times_refused(tmp_path):
+    path = _write(tmp_path, MINIMAL + "\n[output]\nsnapshot_times =\n")
+    with pytest.raises(ConfigError) as refused:
+        load_config(path)
+    assert str(refused.value) == f"{path}: [output] snapshot_times: empty list"
+
+
 def test_bool_parsing(tmp_path):
     for word, expected in (("yes", True), ("true", True), ("0", False)):
         cfg = load_config(_write(tmp_path, MINIMAL + f"\n[output]\nnormalize_total = {word}\n"))

@@ -128,6 +128,13 @@ def test_grid_spanning_counts_nodes_past_the_float_range_as_inf():
         grid_spanning(0.0, 1e308, 1.0, dt=0.1, t_final=1.0, nx_cap=100)
 
 
+def test_grid_spanning_refuses_a_dx_whose_square_overflows():
+    # dx**2 divides every stencil nu
+    with pytest.raises(ValidationError) as refused:
+        grid_spanning(0.0, 1e300, 1.35e154, dt=0.1, t_final=1.0)
+    assert str(refused.value) == "dx must be at most 1.34e+154, got 1.35e+154"
+
+
 def test_grid_spanning_step_cap():
     assert grid_spanning(0.0, 1.0, 0.1, dt=1.0, t_final=float(MAX_STEPS)).n_steps == MAX_STEPS
     for t_final in (MAX_STEPS + 1.0, 1e300):

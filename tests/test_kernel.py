@@ -1,9 +1,12 @@
 """Stencil kernel backends: selection rules and bit-exact agreement."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import balldiff
 from balldiff import kernel_backend
 from balldiff._kernel import select_kernel
 
@@ -38,6 +41,15 @@ def test_select_auto_returns_some_backend():
     impl, name = select_kernel("auto")
     assert name in ("python", "compiled")
     assert hasattr(impl, "apply_passes")
+
+
+def test_select_compiled_without_the_extension_refused(monkeypatch):
+    monkeypatch.delattr(balldiff, "_stencil", raising=False)
+    monkeypatch.setitem(sys.modules, "balldiff._stencil", None)  # as if never built
+    with pytest.raises(ImportError) as refused:
+        select_kernel("compiled")
+    assert str(refused.value) == "the compiled kernel is not built; build it with a C toolchain"
+    assert select_kernel("auto")[1] == "python"
 
 
 def test_select_unknown_name_rejected():

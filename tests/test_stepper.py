@@ -172,6 +172,13 @@ def test_sample_gaussian_field_has_exact_unit_mass(params, unit_state):
     assert f0.values.sum() * grid.dx == pytest.approx(1.0, abs=1e-15)
 
 
+def test_sample_gaussian_field_refuses_a_packet_off_the_grid():
+    grid = grid_spanning(0.0, 8.0, 0.1, dt=0.1, t_final=1.0)
+    with pytest.raises(ValidationError) as refused:
+        sample_gaussian_field(GaussianState(sigma0=1.0, center=1e6), grid)
+    assert str(refused.value) == "grid does not resolve the packet: sampled mass is zero"
+
+
 def test_second_moment_of_sampled_gaussian():
     grid = grid_spanning(0.0, 10.0, 0.01, dt=0.1, t_final=1.0)
     f = Field(time=0.0, values=gaussian_pdf(grid.x, 0.0, 1.0))

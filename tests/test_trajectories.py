@@ -58,6 +58,13 @@ def test_cumulative_center_of_symmetric_density():
     assert c[(grid.nx - 1) // 2] == pytest.approx(0.5, abs=1e-8)
 
 
+def test_cumulative_refuses_a_node_count_mismatch():
+    grid = grid_spanning(0.0, 1.0, 0.1, dt=0.1, t_final=1.0)
+    with pytest.raises(ValidationError) as refused:
+        cumulative(Field(time=0.0, values=np.ones(5)), grid)
+    assert str(refused.value) == "field has 5 nodes, grid has 21"
+
+
 def test_cumulative_rejects_zero_mass():
     grid = Grid1D(x_min=0.0, dx=1.0, nx=3, dt=0.1, n_steps=1)
     with pytest.raises(ValidationError):
