@@ -29,7 +29,7 @@ from .config import (
 from .core import grid_spanning  # noqa: F401  (unused: kept bound for perfbench/spans.py)
 from .errors import BalldiffError, ConfigError, ValidationError
 from .interference import detect_fringe_maxima, fringe_spacing, simulate_double_slit
-from .stepper import count_passes, evolve, sample_gaussian_field, second_moment_sigma
+from .stepper import evolve, march, plan, sample_gaussian_field, second_moment_sigma
 from .tables import FormattedColumn, read_table, write_table
 from .trajectories import trace_flux_lines
 
@@ -115,23 +115,25 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
                      zip(imap.p1, imap.p2, totals))
 
     spacing = fringe_spacing(cfg.params, cfg.slits.dvx)
-    if math.isfinite(spacing):
+    half = max(-grid.x_min, grid.x_max)
+    has_fringes = spacing <= half  # a crest besides n = 0 lies on the grid; inf never does
+    if has_fringes:
         x_det = detect_fringe_maxima(imap.x_axis, imap.p1[-1], imap.p2[-1], imap.p_total[-1])
         orders = np.rint(x_det / spacing)
         x_ref = orders * spacing
         err_cells = np.abs(x_det - x_ref) / grid.dx
         _say(quiet, f"doubleslit: {x_det.size} maxima, spacing {spacing:.6g}, "
-                    f"worst offset {err_cells.max() if err_cells.size else 0.0:.3f} cells")
+                    f"worst offset {err_cells.max(initial=0.0):.3f} cells")
     else:
         orders = x_det = x_ref = err_cells = np.empty(0)
-        _say(quiet, "doubleslit: no fringes (spacing 2 pi hbar / (mass |dvx|) is infinite)")
+        _say(quiet, f"doubleslit: no fringes (spacing {spacing:.6g} > half-width {half:.6g})")
     write_table(
         out_dir / "fringes.txt",
         ["n", "x_detected", "x_analytic", "error_cells"],
         [orders, x_det, x_ref, err_cells],
     )
 
-    if cfg.fringe_cell_tol is not None and math.isfinite(spacing):
+    if cfg.fringe_cell_tol is not None and has_fringes:
         if x_det.size == 0:
             _complain("no interference maxima detected")
             return 1
@@ -175,7 +177,7 @@ def run_trajectories(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> i
          expected.ravel(), actual.ravel(), rel_dev],
     )
 
-    worst = rel_dev.max() if rel_dev.size else 0.0
+    worst = rel_dev.max(initial=0.0)
     _say(quiet, f"trajectories: {nq} flux lines over {nt} snapshots, "
                 f"worst homothety deviation {worst:.3e}")
     if cfg.homothety_tol is not None and worst > cfg.homothety_tol:
@@ -192,8 +194,9 @@ def run_convergence(
     Each refinement halves dx, so a second-order scheme should show the
     max-norm error dropping fourfold per level. Every level keeps dt and runs
     one segment to t_final snapped to a whole number of dt, in as many passes
-    as its dx needs, and is compared with the Gaussian there. Exits nonzero
-    when the final observed order leaves :data:`ORDER_WINDOW`.
+    as its dx needs, and is compared with the Gaussian there. Every level's grid
+    and ``stepper.plan`` are made once, before level 0 runs, and ``march`` runs
+    those plans. Exits nonzero when the final order leaves :data:`ORDER_WINDOW`.
     """
     refinements = int(refinements)
     if refinements < 2:
@@ -205,28 +208,29 @@ def run_convergence(
                               f"to at least one step of dt = {cfg.dt:g}")
     out_dir = Path(out_dir)
 
-    # each level is sized, its passes counted, before any runs: a refused level costs
-    # nothing, and the first one refused ends the loop
-    levels, level_cfgs, passes = range(refinements + 1), [], []
+    # each level is sized and planned before any runs: a refused level costs nothing,
+    # and the first one refused ends the loop
+    levels, grids, plans = range(refinements + 1), [], []
     for level in levels:
-        level_cfgs.append(dataclasses.replace(cfg, dx=cfg.dx / 2**level, t_final=t_reached,
-                                              snapshot_times=(t_reached,)))
+        dx = cfg.dx / 2**level
         try:
-            passes.append(count_passes(single_beam_grid(level_cfgs[-1]), cfg.state, cfg.params,
-                                       (t_reached,)))
+            grids.append(single_beam_grid(dataclasses.replace(cfg, dx=dx, t_final=t_reached)))
+            plans.append(plan((t_reached,), grids[-1], 0.0, cfg.state.sigma0,
+                              cfg.params.diffusivity))
         except BalldiffError as exc:
             if level == 0:
                 raise
             # a refined level's dx comes from --refinements, and every study runs levels 0-2
             reason = str(exc).removeprefix(f"{cfg.origin}: [grid] ").rpartition("; ")[0]
             remedy = f"lower --refinements below {level}" if level > 2 else "raise [grid] dx"
-            raise type(exc)(f"convergence level {level} with dx = {level_cfgs[-1].dx:g} is "
+            raise type(exc)(f"convergence level {level} with dx = {dx:g} is "
                             f"refused: {reason}; {remedy}") from exc
+    passes = [sum(n for _, n, _ in segments) for segments in plans]
     errors = []
-    for level, level_cfg in zip(levels, level_cfgs):
-        grid, [last], _ = _evolve_packet(level_cfg)
-        sigma = analytic_sigma(last.time, cfg.state.sigma0, cfg.params.diffusivity)
-        err = float(np.max(np.abs(last.values - gaussian_pdf(grid.x, cfg.state.center, sigma))))
+    for level, grid, segments in zip(levels, grids, plans):
+        [(t, last)], _ = march(sample_gaussian_field(cfg.state, grid).values, 0.0, grid, segments)
+        sigma = analytic_sigma(t, cfg.state.sigma0, cfg.params.diffusivity)
+        err = float(np.max(np.abs(last - gaussian_pdf(grid.x, cfg.state.center, sigma))))
         errors.append(err)
         _say(quiet, f"convergence: level {level} dx={grid.dx:g} passes={passes[level]} "
                     f"err={err:.3e}")
@@ -237,7 +241,7 @@ def run_convergence(
     write_table(
         out_dir / "convergence.txt",
         ["level", "dx", "passes", "linf_error"],
-        [levels, [c.dx for c in level_cfgs], passes, errors],
+        [levels, [grid.dx for grid in grids], passes, errors],
     )
     write_table(out_dir / "orders.txt", ["level", "order"], [levels[1:], orders])
 
@@ -290,9 +294,7 @@ def _point_metric(command: str, cfg: RunConfig, point_dir: Path) -> float:
     if command == "doubleslit":
         return fringe_spacing(cfg.params, cfg.slits.dvx)
     names, data = read_table(point_dir / "homothety.txt")
-    if data.shape[0] == 0:
-        return 0.0
-    return float(data[:, names.index("rel_dev")].max())
+    return float(data[:, names.index("rel_dev")].max(initial=0.0))
 
 
 def run_sweep(

@@ -17,7 +17,7 @@ from .analytic import analytic_sigma
 from .core import MIN_SAFETY_SPAN, GaussianState, Grid1D, PhysicalParams, SlitConfig
 from .errors import DomainTooSmallError, ValidationError
 from .stepper import evolve  # noqa: F401  (unused: kept bound for perfbench/spans.py)
-from .stepper import march, sample_gaussian_field
+from .stepper import march, plan, sample_gaussian_field
 
 #: Fringe search ignores cells whose beam envelope is below this fraction of its peak.
 _ENVELOPE_FLOOR = 1e-9
@@ -110,8 +110,8 @@ def simulate_double_slit(
     half = 0.5 * slits.separation
     initial = [sample_gaussian_field(GaussianState(sigma0=slits.sigma0, center=c), grid).values
                for c in (-half, half)]
-    snaps, _ = march(np.stack(initial), 0.0, grid, slits.sigma0, params.diffusivity,
-                     snapshot_times)
+    snaps, _ = march(np.stack(initial), 0.0, grid,
+                     plan(snapshot_times, grid, 0.0, slits.sigma0, params.diffusivity))
     beams = [np.stack([_shift(rows[i], grid.x, v * t) for t, rows in snaps])
              for i, v in enumerate((slits.v1, slits.v2))]
 

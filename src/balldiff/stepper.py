@@ -10,6 +10,9 @@ stays at or below :data:`STABILITY_TARGET` and whose sum is exactly
 ``configs/spread.cfg`` that is 12,509 passes, and sigma's relative error is
 2.0e-16; a nu evaluated at each substep's end took 12,726 passes, overshot
 tau, and left sigma a relative error of up to 2.1e-4.
+
+A run's ``(step, n, nu)`` segments, its *plan*, are made once by :func:`plan`,
+before any pass; :func:`march` runs a given plan.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from .errors import DomainTooSmallError, ResourceLimitError, ValidationError
 #: Largest ``nu`` of a pass, below the von Neumann bound of 1/2.
 STABILITY_TARGET = 0.4
 
-#: Most stencil passes one evolve call may run; this bounds run time, and while a
+#: Most stencil passes one plan may hold; this bounds run time, and while a
 #: segment's kernel call runs, its ``nu`` array holds 8 bytes per pass of that segment.
 MAX_PASSES = 2**24
 
@@ -42,7 +45,7 @@ _MASS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class StepperReport:
-    """Accounting for one evolve call."""
+    """Accounting for one run of a plan."""
 
     macro_steps: int
     total_substeps: int
@@ -64,12 +67,12 @@ def sample_gaussian_field(state: GaussianState, grid: Grid1D) -> Field:
     return Field(time=0.0, values=v / total)
 
 
-def _segments(snapshot_times, grid: Grid1D, t0: float, sigma0: float,
-              diffusivity: float) -> list[tuple[int, int, float]]:
-    """``(step, n, nu)`` per requested time: the macro step it snaps to, and the fewest
-    equal passes at or below :data:`STABILITY_TARGET` that add up to the exact
-    tau(t_b) - tau(t_a) of the segment from the time before it (or ``t0``); n = nu = 0
-    where no time passes. Refuses a run over :data:`MAX_PASSES` passes."""
+def plan(snapshot_times, grid: Grid1D, t0: float, sigma0: float,
+         diffusivity: float) -> list[tuple[int, int, float]]:
+    """A run's plan, ``(step, n, nu)`` per requested time: the macro step it snaps to,
+    and the fewest equal passes at or below :data:`STABILITY_TARGET` that add up to the
+    exact tau(t_b) - tau(t_a) of the segment from the time before it (or ``t0``);
+    n = nu = 0 where no time passes. Refuses a run over :data:`MAX_PASSES` passes."""
     times = np.asarray(snapshot_times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("snapshot_times must be a non-empty 1-d sequence")
@@ -95,11 +98,6 @@ def _segments(snapshot_times, grid: Grid1D, t0: float, sigma0: float,
                     (total / np.maximum(n, 1.0)).tolist()))
 
 
-def count_passes(grid: Grid1D, state: GaussianState, params: PhysicalParams, times) -> int:
-    """Stencil passes :func:`evolve` runs from t = 0 to ``times``, refused as it refuses them."""
-    return sum(n for _, n, _ in _segments(times, grid, 0.0, state.sigma0, params.diffusivity))
-
-
 def _edge_fraction(v: np.ndarray) -> float:
     # on grids of fewer than 2 * _EDGE_CELLS nodes the two edges meet; count each node once
     edge = v[:_EDGE_CELLS].sum() + v[max(_EDGE_CELLS, v.size - _EDGE_CELLS):].sum()
@@ -119,28 +117,27 @@ def evolve(
     [t_a, t_b] that ends at each runs in one kernel call of n equal passes, the
     fewest whose ``nu`` stays at or below :data:`STABILITY_TARGET`, with
     ``dx**2 * n * nu`` the exact tau(t_b) - tau(t_a); a repeated time runs none.
-    :func:`march` is that loop; the double-slit beams run it as two rows at once.
+    :func:`plan` makes that segment list before any pass, and :func:`march` runs it;
+    the double-slit beams run it as two rows at once.
 
     Raises :class:`DomainTooSmallError` as soon as a snapshot holds more
     than :data:`_LEAK_THRESHOLD` of its mass within :data:`_EDGE_CELLS`
     cells of either edge.
     """
-    snaps, report = march(initial.values, initial.time, grid, state.sigma0,
-                          params.diffusivity, snapshot_times)
+    segments = plan(snapshot_times, grid, initial.time, state.sigma0, params.diffusivity)
+    snaps, report = march(initial.values, initial.time, grid, segments)
     return [Field(time=t, values=v) for t, v in snaps], report
 
 
 def march(
-    values: np.ndarray, t0: float, grid: Grid1D, sigma0: float, diffusivity: float,
-    snapshot_times,
+    values: np.ndarray, t0: float, grid: Grid1D, segments: list[tuple[int, int, float]],
 ) -> tuple[list[tuple[float, np.ndarray]], StepperReport]:
-    """The segment loop of :func:`evolve` on ``values`` of shape ``(nx,)`` or
+    """Run a :func:`plan` from ``t0`` on ``values`` of shape ``(nx,)`` or
     ``(rows, nx)``, each row a unit-mass density that evolves on its own.
 
-    Returns ``(t, values at t)`` per requested time and one report: the
-    leak and mass drift are the worst over the rows. One pass over the
-    ``(step, n, nu)`` list of :func:`_segments` runs the kernel once per
-    segment with passes, for all rows together.
+    Returns ``(t, values at t)`` per segment and one report: the leak and
+    mass drift are the worst over the rows. Each segment with passes is one
+    kernel call, for all rows together.
     """
     v = np.array(values, dtype=np.float64)
     if v.shape[-1] != grid.nx:
@@ -149,7 +146,6 @@ def march(
     for m in mass0:
         if abs(m - 1.0) > _MASS_TOL:
             raise ValidationError(f"initial field mass {m!r} is not 1 within {_MASS_TOL}")
-    segments = _segments(snapshot_times, grid, t0, sigma0, diffusivity)
     snapshots: list[tuple[float, np.ndarray]] = []
     worst_leak = 0.0
     for step, n, nu in segments:

@@ -21,7 +21,7 @@ import balldiff.stepper as stepper
 from balldiff import GaussianState
 from balldiff.cli import _evolve_packet
 from balldiff.config import double_slit_grid, load_config
-from balldiff.stepper import (STABILITY_TARGET, march, sample_gaussian_field,
+from balldiff.stepper import (STABILITY_TARGET, march, plan, sample_gaussian_field,
                               second_moment_sigma)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -151,8 +151,8 @@ def test_two_beam_rows_match_sine_basis_oracle(monkeypatch, kernel):
     half = 0.5 * cfg.slits.separation
     initial = np.stack([sample_gaussian_field(GaussianState(sigma0=cfg.slits.sigma0, center=c),
                                               grid).values for c in (-half, half)])
-    snaps, report = march(initial, 0.0, grid, cfg.slits.sigma0, cfg.params.diffusivity,
-                          cfg.snapshot_times)
+    snaps, report = march(initial, 0.0, grid, plan(cfg.snapshot_times, grid, 0.0,
+                                                   cfg.slits.sigma0, cfg.params.diffusivity))
     worst = _oracle_ulps(initial, snaps, report, grid, cfg.slits.sigma0, cfg.params.diffusivity)
     assert worst <= _ULPS, worst
 

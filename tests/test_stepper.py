@@ -25,8 +25,7 @@ from balldiff import (
 )
 from balldiff import stepper
 from balldiff.analytic import diffusion_coefficient
-from balldiff.stepper import (STABILITY_TARGET, StepperReport, _edge_fraction, _segments,
-                              count_passes)
+from balldiff.stepper import STABILITY_TARGET, StepperReport, _edge_fraction, plan
 
 
 def _spread_setup(dx, dt, t_final, params, state):
@@ -365,7 +364,7 @@ def test_evolve_builds_one_segment_schedule_at_a_time(params, unit_state):
 def test_segment_rule_gives_exact_tau_in_the_fewest_stable_passes(t0, dt, dx, sigma0,
                                                                   diffusivity, steps):
     grid = Grid1D(x_min=-4.0 * dx, dx=dx, nx=9, dt=dt, n_steps=max(1, *steps))
-    segments = _segments([t0 + step * dt for step in steps], grid, t0, sigma0, diffusivity)
+    segments = plan([t0 + step * dt for step in steps], grid, t0, sigma0, diffusivity)
     assert [step for step, _, _ in segments] == steps
     t_a = t0
     for step, n, nu in segments:
@@ -383,7 +382,7 @@ def test_segment_rule_gives_exact_tau_in_the_fewest_stable_passes(t0, dt, dx, si
         assert n == 1 or tau / ((n - 1) * Fraction(dx)**2) > STABILITY_TARGET
         t_a = t_b
 
-    # evolve from t = 0 runs exactly the passes count_passes counts
+    # evolve from t = 0 runs exactly the passes of its plan
     state = GaussianState(sigma0=sigma0)
     params = make_physical_params(2.0 * diffusivity, 1.0)  # diffusivity hbar / (2 mass)
     field = Field(time=0.0, values=np.eye(1, 9, 4)[0] / dx)
@@ -391,5 +390,6 @@ def test_segment_rule_gives_exact_tau_in_the_fewest_stable_passes(t0, dt, dx, si
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stepper, "apply_passes", lambda values, nus: values)
         _, report = evolve(field, grid, state, params, times)
-    assert report.total_substeps == count_passes(grid, state, params, times)
+    assert report.total_substeps == sum(n for _, n, _ in plan(times, grid, 0.0, sigma0,
+                                                               diffusivity))
     assert report.macro_steps == steps[-1]
