@@ -192,20 +192,16 @@ def run_convergence(
     """Grid-refinement study against the closed-form spreading Gaussian.
 
     Each refinement halves dx, so a second-order scheme should show the
-    max-norm error dropping fourfold per level. Every level keeps dt and runs
-    one segment to t_final snapped to a whole number of dt, in as many passes
-    as its dx needs, and is compared with the Gaussian there. Every level's grid
-    and ``stepper.plan`` are made once, before level 0 runs, and ``march`` runs
-    those plans. Exits nonzero when the final order leaves :data:`ORDER_WINDOW`.
+    max-norm error dropping fourfold per level. Every level keeps dt and runs one
+    segment to t_final, which ``stepper.plan`` alone snaps to a whole number of dt,
+    in as many passes as its dx needs; it is compared with the Gaussian there. Every
+    level's grid (sized for that last time) and plan are made once, before level 0
+    runs, and ``march`` runs those plans. Exits nonzero when the final order leaves
+    :data:`ORDER_WINDOW`.
     """
     refinements = int(refinements)
     if refinements < 2:
         raise ValidationError(f"need at least 2 refinements, got {refinements}")
-    single_beam_grid(cfg)  # refuses a t_final out of range by name before it is snapped
-    t_reached = round(cfg.t_final / cfg.dt) * cfg.dt
-    if t_reached == 0.0:
-        raise ValidationError(f"convergence study needs t_final = {cfg.t_final:g} to round "
-                              f"to at least one step of dt = {cfg.dt:g}")
     out_dir = Path(out_dir)
 
     # each level is sized and planned before any runs: a refused level costs nothing,
@@ -214,8 +210,8 @@ def run_convergence(
     for level in levels:
         dx = cfg.dx / 2**level
         try:
-            grids.append(single_beam_grid(dataclasses.replace(cfg, dx=dx, t_final=t_reached)))
-            plans.append(plan((t_reached,), grids[-1], 0.0, cfg.state.sigma0,
+            grids.append(single_beam_grid(dataclasses.replace(cfg, dx=dx)))
+            plans.append(plan((cfg.t_final,), grids[-1], 0.0, cfg.state.sigma0,
                               cfg.params.diffusivity))
         except BalldiffError as exc:
             if level == 0:
@@ -225,6 +221,9 @@ def run_convergence(
             remedy = f"lower --refinements below {level}" if level > 2 else "raise [grid] dx"
             raise type(exc)(f"convergence level {level} with dx = {dx:g} is "
                             f"refused: {reason}; {remedy}") from exc
+        if plans[0][0][0] == 0:  # level 0's plan snaps t_final to step 0
+            raise ValidationError(f"convergence study needs t_final = {cfg.t_final:g} to round "
+                                  f"to at least one step of dt = {cfg.dt:g}")
     passes = [sum(n for _, n, _ in segments) for segments in plans]
     errors = []
     for level, grid, segments in zip(levels, grids, plans):

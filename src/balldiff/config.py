@@ -275,19 +275,25 @@ def sweep_points(raw: dict[str, dict[str, str]], origin: str, commands):
     return command, [f"{section}.{key}" for section, key in axes], points
 
 
+def _t_end(cfg: RunConfig) -> float:
+    """The last time a run reaches: t_final, or the later step of dt stepper.plan snaps it to."""
+    snapped = float(np.rint(cfg.t_final / cfg.dt)) * cfg.dt  # inf is refused by grid_spanning
+    return snapped if cfg.t_final < snapped < math.inf else cfg.t_final
+
+
 def single_beam_grid(cfg: RunConfig) -> Grid1D:
-    """Grid for a single-packet run, sized from the final spread."""
+    """Grid for a single-packet run, sized from the spread at the last time it reaches."""
     with np.errstate(over="ignore"):  # an infinite width is refused by _grid_around
-        sigma_end = analytic_sigma(cfg.t_final, cfg.state.sigma0, cfg.params.diffusivity)
+        sigma_end = analytic_sigma(_t_end(cfg), cfg.state.sigma0, cfg.params.diffusivity)
     return _grid_around(cfg, cfg.state.center, cfg.safety_span * sigma_end)
 
 
 def double_slit_grid(cfg: RunConfig) -> Grid1D:
-    """Grid for a two-slit run, covering both drifted beams."""
+    """Grid for a two-slit run, covering both drifted beams at the last time it reaches."""
     if cfg.slits is None:
         raise ConfigError(f"{cfg.origin}: [slits] section is required for this run")
     with np.errstate(over="ignore"):  # an infinite width is refused by _grid_around
-        need = required_half_width(cfg.slits, cfg.params, cfg.t_final, cfg.safety_span)
+        need = required_half_width(cfg.slits, cfg.params, _t_end(cfg), cfg.safety_span)
     grid = _grid_around(cfg, 0.0, need)
     dvx, params = cfg.slits.dvx, cfg.params
     spacing = fringe_spacing(params, dvx)  # infinite where there are no fringes

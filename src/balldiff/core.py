@@ -103,10 +103,6 @@ class Grid1D:
     def x_max(self) -> float:
         return self.x_min + (self.nx - 1) * self.dx
 
-    @property
-    def t_final(self) -> float:
-        return self.n_steps * self.dt
-
     @cached_property
     def x(self) -> np.ndarray:
         """Node positions, read-only."""

@@ -95,11 +95,12 @@ def simulate_double_slit(
     is normalized to unit mass, so the composed total is not.
 
     Raises :class:`DomainTooSmallError` when the grid leaves less than
-    :data:`~balldiff.core.MIN_SAFETY_SPAN` sigma(t) around either beam at
-    t = 0 or at the last snapshot, the floor ``[grid] safety_span`` enforces.
+    :data:`~balldiff.core.MIN_SAFETY_SPAN` sigma(t) around either beam at t = 0
+    or at the last time the plan reaches, the floor ``[grid] safety_span`` enforces.
     """
-    t_last = float(np.max(np.asarray(snapshot_times, dtype=np.float64)))
-    for x0, v, t, c, reach in _beam_extents(slits, params, t_last, MIN_SAFETY_SPAN):
+    segments = plan(snapshot_times, grid, 0.0, slits.sigma0, params.diffusivity)
+    t_end = segments[-1][0] * grid.dt  # the last snapshot time, snapped to a step of dt
+    for x0, v, t, c, reach in _beam_extents(slits, params, t_end, MIN_SAFETY_SPAN):
         if c - reach < grid.x_min or c + reach > grid.x_max:
             raise DomainTooSmallError(
                 f"beam from x0={x0} drifting at {v} needs "
@@ -110,8 +111,7 @@ def simulate_double_slit(
     half = 0.5 * slits.separation
     initial = [sample_gaussian_field(GaussianState(sigma0=slits.sigma0, center=c), grid).values
                for c in (-half, half)]
-    snaps, _ = march(np.stack(initial), 0.0, grid,
-                     plan(snapshot_times, grid, 0.0, slits.sigma0, params.diffusivity))
+    snaps, _ = march(np.stack(initial), 0.0, grid, segments)
     beams = [np.stack([_shift(rows[i], grid.x, v * t) for t, rows in snaps])
              for i, v in enumerate((slits.v1, slits.v2))]
 
@@ -126,10 +126,8 @@ def required_half_width(
     slits: SlitConfig, params: PhysicalParams, t_final: float, safety_span: float
 ) -> float:
     """Half-width around x = 0 holding both drifted, spread beams."""
-    need = 0.0
-    for _, _, _, c, reach in _beam_extents(slits, params, t_final, safety_span):
-        need = max(need, abs(c) + reach)
-    return need
+    extents = _beam_extents(slits, params, t_final, safety_span)
+    return max(abs(c) + reach for _, _, _, c, reach in extents)
 
 
 def detect_fringe_maxima(

@@ -85,7 +85,8 @@ def plan(snapshot_times, grid: Grid1D, t0: float, sigma0: float,
     with np.errstate(over="ignore"):  # an overflowing step count is inf, refused below
         steps = np.rint((times - t0) / grid.dt)
     if np.any(steps > grid.n_steps):
-        raise ValidationError(f"snapshot_times reach past the final step t={t0 + grid.t_final}")
+        raise ValidationError(f"snapshot_times reach past the final step "
+                              f"t={t0 + grid.n_steps * grid.dt}")
     bounds = t0 + np.concatenate(([0.0], steps)) * grid.dt
     t_a, t_b = bounds[:-1], bounds[1:]
     # D_t is linear in t, so its midpoint value times the length is the exact integral

@@ -249,6 +249,34 @@ def test_doubleslit_normalized_total_column(tmp_path):
     assert np.trapezoid(total, x) == pytest.approx(1.0, rel=1e-12)
 
 
+#: t_final = 0.26 snaps to the step t = 0.5 of dt; a grid sized at 0.26 is too narrow there
+_SNAPS_LATER = "[grid]\ndx = {dx}\ndt = 0.5\nt_final = 0.26\nsafety_span = 5\n"
+
+
+@pytest.mark.parametrize("command", ["spread", "trajectories"])
+def test_single_packet_grid_holds_the_step_t_final_snaps_to(tmp_path, capsys, command):
+    # sigma is 13.0 at t = 0.26 but 25.0 at t = 0.5, where the last snapshot lands
+    text = "[physical]\nhbar = 100\n" + _SNAPS_LATER.format(dx=0.25)
+    assert main([command, "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0, capsys.readouterr().err
+
+
+def test_doubleslit_beams_keep_their_mass_to_the_step_t_final_snaps_to(tmp_path, capsys):
+    # beam 2 drifts from x = 3 to 8 by t = 0.5; a grid sized at t = 0.26 loses 0.38% of it
+    text = _SNAPS_LATER.format(dx=0.1) + "[slits]\nseparation = 6\nv1 = 10\nv2 = 10\n"
+    out = tmp_path / "o"
+    assert main(["doubleslit", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == 0, capsys.readouterr().err
+    tail = 0.5 * math.erfc(5 / math.sqrt(2))  # a beam's mass past safety_span = 5 sigma
+    files = sorted(out.glob("intensity_*.txt"))
+    assert len(files) == 5
+    for path in files:
+        names, data = read_table(path)
+        for beam in ("p1", "p2"):
+            mass = data[:, names.index(beam)].sum() * 0.1
+            assert abs(mass - 1.0) <= tail, (path.name, beam, mass)
+
+
 def test_trajectories_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["trajectories", "--config", _cfg(tmp_path, BASE), "--out", str(out)]) == 0
@@ -317,7 +345,11 @@ def test_convergence_runs_every_level_to_the_time_level_0_reached(tmp_path, caps
 
 def test_convergence_plans_each_level_once_and_marches_that_plan(tmp_path, capsys,
                                                                   monkeypatch):
-    planned, marched = [], []
+    planned, marched, sized = [], [], []
+
+    def sizer(cfg):
+        sized.append(cfg.dx)
+        return single_beam_grid(cfg)
 
     def plan(*args):
         planned.append(stepper.plan(*args))
@@ -327,6 +359,7 @@ def test_convergence_plans_each_level_once_and_marches_that_plan(tmp_path, capsy
         marched.append(segments)
         return stepper.march(values, t0, grid, segments)
 
+    monkeypatch.setattr(cli, "single_beam_grid", sizer)
     monkeypatch.setattr(cli, "plan", plan)
     monkeypatch.setattr(cli, "march", march)
     out = tmp_path / "out"
@@ -334,6 +367,7 @@ def test_convergence_plans_each_level_once_and_marches_that_plan(tmp_path, capsy
                  "--quiet"]) == 0, capsys.readouterr().err
     names, conv = read_table(out / "convergence.txt")
     assert len(planned) == len(marched) == conv.shape[0] == 4
+    assert sized == conv[:, names.index("dx")].tolist()  # each level's grid sized once
     assert all(got is made for got, made in zip(marched, planned))
     assert conv[:, names.index("passes")].tolist() == [
         sum(n for _, n, _ in segments) for segments in planned]
@@ -692,9 +726,13 @@ def test_huge_dx_reported(tmp_path, capsys):
      "underflow to 0; lower it\n"),
     ("sigma0 = 1.5e-154", "dx = 1e-155\nt_final = 1",
      "grid would need inf nodes (cap 4194304); "),
-], ids=["dx_over_the_float_range", "derived_dx_underflows", "finite_spread_of_tiny_sigma0"])
+    ("sigma0 = 1e100", "dx = 1e99\nt_final = 1e308",
+     "grid would need 1e+110 nodes (cap 4194304); "),
+], ids=["dx_over_the_float_range", "derived_dx_underflows", "finite_spread_of_tiny_sigma0",
+        "step_count_past_the_float_range"])
 def test_refusal_names_the_key_and_the_real_cause(tmp_path, packet, grid, want):
-    # sigma(1) of the last case is about 3.3e153: finite, so the node cap refuses the run
+    # sigma(1) of the third case is about 3.3e153: finite, so the node cap refuses the run;
+    # in the last, t_final / dt overflows, but sigma(t_final) = 5e207 is finite too
     text = f"[physical]\nhbar = 1.0\nmass = 1.0\n[packet]\n{packet}\n[grid]\n{grid}\ndt = 0.05\n"
     status, err = _cli_in_subprocess(tmp_path, text)
     assert status == 1
@@ -973,11 +1011,23 @@ def _outside(raw):
     return names
 
 
+def _last_snapshot_masses(cfg_path, out):
+    """Sum times dx of each density column (p, or p1 and p2) of the last snapshot table a
+    spread or doubleslit run wrote into ``out``; empty for the other commands."""
+    tables = sorted(out.glob("field_*.txt")) + sorted(out.glob("intensity_*.txt"))
+    if not tables:
+        return {}
+    names, data = read_table(tables[-1])
+    dx = load_config(cfg_path).dx
+    return {name: float(data[:, names.index(name)].sum() * dx)
+            for name in names if name in ("p", "p1", "p2")}
+
+
 @pytest.mark.parametrize("command", ["spread", "trajectories", "doubleslit", "convergence"])
 def test_any_schema_values_exit_cleanly(monkeypatch, command):
     """Half the draws perturb a shipped config, half also redraw keys anywhere. Every draw
-    exits 0, or exits 1 with one error line, which names a key drawn outside its domain
-    when there is one."""
+    exits 0, with each density of its last snapshot within 1e-6 of unit mass, or exits 1
+    with one error line, which names a key drawn outside its domain when there is one."""
     # runs stay small: at most 4,096 nodes and 2^14 macro steps or stencil passes
     monkeypatch.setattr(stepper, "MAX_PASSES", 2**14)
     monkeypatch.setattr(balldiff.core, "MAX_STEPS", 2**14)
@@ -989,8 +1039,9 @@ def test_any_schema_values_exit_cleanly(monkeypatch, command):
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             warnings.simplefilter("always")
-            status = main([command, "--config", _cfg(Path(tmp), _ini(raw)), "--out",
-                           str(Path(tmp) / "o"), "--quiet"])
+            path, out = _cfg(Path(tmp), _ini(raw)), Path(tmp) / "o"
+            status = main([command, "--config", path, "--out", str(out), "--quiet"])
+            masses = _last_snapshot_masses(path, out) if status == 0 else {}
         stderr = err.getvalue() + "".join(
             f"{w.category.__name__}: {w.message}\n" for w in caught)
         context = f"{_ini(raw)}\n{stderr}"
@@ -998,6 +1049,8 @@ def test_any_schema_values_exit_cleanly(monkeypatch, command):
         outside = _outside(raw)
         if status == 0:
             assert not outside and not stderr, context
+            # a completed run holds every density it writes: at most the leak threshold is lost
+            assert all(abs(m - 1.0) <= 1e-6 for m in masses.values()), (context, masses)
             completed += 1
             continue
         assert status == 1, context

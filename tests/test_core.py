@@ -52,7 +52,6 @@ def test_gaussian_state_requires_positive_sigma0():
 def test_grid_geometry():
     g = Grid1D(x_min=-1.0, dx=0.5, nx=5, dt=0.1, n_steps=10)
     assert g.x_max == 1.0
-    assert g.t_final == pytest.approx(1.0)
     assert np.array_equal(g.x, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
 

@@ -127,6 +127,16 @@ def test_domain_check_margin_is_the_safety_span_floor(params):
         simulate_double_slit(slits, short, params, [0.0, 1.0])
 
 
+def test_domain_check_is_made_at_the_last_time_the_plan_reaches(params):
+    # 0.26 snaps to the step t = 0.5; a grid that holds the beams only up to 0.26 would
+    # let beam 2 drift past its edge and lose 0.38% of its mass there
+    slits = SlitConfig(separation=6.0, sigma0=1.0, v1=10.0, v2=10.0)
+    need = required_half_width(slits, params, 0.26, MIN_SAFETY_SPAN)
+    grid = grid_spanning(0.0, need, 0.1, dt=0.5, t_final=0.26)
+    with pytest.raises(DomainTooSmallError, match=r"at t=0\.5, grid covers"):
+        simulate_double_slit(slits, grid, params, [0.0, 0.26])
+
+
 def test_detect_fringe_maxima_on_synthetic_pattern():
     dx = 0.025
     x = np.arange(-10.0, 10.0 + dx / 2, dx)

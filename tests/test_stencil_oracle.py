@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import balldiff.stepper as stepper
-from balldiff import GaussianState
+from balldiff import (GaussianState, analytic_sigma, evolve, grid_spanning,
+                      make_physical_params)
 from balldiff.cli import _evolve_packet
 from balldiff.config import double_slit_grid, load_config
 from balldiff.stepper import (STABILITY_TARGET, march, plan, sample_gaussian_field,
@@ -46,6 +47,15 @@ def _segments(times, dx, sigma0, diffusivity):
     return segments
 
 
+def _dst1(u):
+    """sum_j u_j sin(pi j k / (N + 1)) for k = 1..N along the last axis of ``u``: a DST-I,
+    read off the FFT of u's odd extension [0, u, 0, -reversed u], of length 2 (N + 1),
+    whose bin k is -2i times that sum. O(N log N), where the sine matrix was O(N^2)."""
+    zero = np.zeros(u.shape[:-1] + (1,))
+    odd = np.concatenate([zero, u, zero, -u[..., ::-1]], axis=-1)
+    return -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1:-1]
+
+
 def _sine_oracle(values, segments):
     """``values`` of shape (nx,) or (rows, nx) after the passes of each ``(n, nu)``."""
     v = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -53,21 +63,19 @@ def _sine_oracle(values, segments):
     n = nx - 2
     along = np.linspace(0.0, 1.0, nx)
     linear = v[:, :1] + (v[:, -1:] - v[:, :1]) * along
-    # sin(pi j k / (N + 1)) with j k reduced exactly, modulo its period, before the sine
-    jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * (n + 1))
-    sines = np.sin(np.pi * jk / (n + 1))
-    modes = (v - linear)[:, 1:-1] @ sines * (2.0 / (n + 1))
+    modes = _dst1((v - linear)[:, 1:-1]) * (2.0 / (n + 1))
     shrink = 4.0 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
     gain = np.ones(n)
     out = []
     for passes, nu in segments:
         # (1 - x)^passes through log1p where 1 - x is near 1: multiplying by the rounded
-        # factor once per pass would add up the same rounding error passes times over
+        # factor once per pass would add up the same rounding error passes times over;
+        # where x > 1 the factor is negative, and the power keeps its sign (-1)^passes
         x = nu * shrink
         near = x < 0.5
         gain *= np.where(near, np.exp(passes * np.log1p(-np.where(near, x, 0.0))),
                          (1.0 - x) ** passes)
-        interior = linear[:, 1:-1] + (modes * gain) @ sines
+        interior = linear[:, 1:-1] + _dst1(modes * gain)
         out.append(np.concatenate([v[:, :1], interior, v[:, -1:]], axis=1).reshape(
             np.shape(values)))
     return out
@@ -94,8 +102,8 @@ def _packet_run(cfg):
 
 
 #: Largest oracle mismatch, in ulps of the initial peak, over the snapshots of a run.
-#: Measured on either kernel: 6 (trajectories.cfg), 7 (doubleslit.cfg), 3 (the small
-#: spread) and 2, 3, 3 and 5 (convergence.cfg levels 0 to 3).
+#: Measured on either kernel: 2 (trajectories.cfg), 4 (doubleslit.cfg), 3 (the small
+#: spread), 3, 2, 3 and 4 (convergence.cfg levels 0 to 3) and 0.625 (acceptance 2).
 _ULPS = 32
 
 #: A small spread run: 285 nodes, snapshots every 0.5 up to t = 2.
@@ -133,14 +141,37 @@ def test_convergence_level_matches_sine_basis_oracle(monkeypatch, kernel, level)
     monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
     base = load_config(CONFIGS / "convergence.cfg")
     # the level run_convergence runs: dx halved per level, dt kept, one snapshot at
-    # t_final snapped to a whole number of dt
-    t_reached = round(base.t_final / base.dt) * base.dt
-    cfg = dataclasses.replace(base, dx=base.dx / 2**level, t_final=t_reached,
-                              snapshot_times=(t_reached,))
+    # t_final, which the stepper's plan snaps to a whole number of dt
+    cfg = dataclasses.replace(base, dx=base.dx / 2**level, snapshot_times=(base.t_final,))
     grid, initial, snaps, report = _packet_run(cfg)
     assert grid.nx == 2**level * 112 + 1
     worst = _oracle_ulps(initial, snaps, report, grid, cfg.state.sigma0, cfg.params.diffusivity)
     assert worst <= _ULPS, worst
+
+
+@pytest.mark.parametrize("kernel", ["compiled"], indirect=True)
+def test_acceptance_2_run_matches_sine_basis_oracle(monkeypatch, kernel):
+    """Acceptance 2's long run, 200,012 passes on 8,003 nodes up to t = 100, on the
+    compiled kernel alone to keep the suite short: the numpy kernel takes about 2.4 times
+    as long, and tests/test_kernel.py holds the two bit-identical. One pass more or fewer
+    in the last segment, where the packet is widest and a pass changes it least, fails
+    the oracle, at the same nu (3.6e8 ulps) and with nu rescaled to keep tau exact
+    (1,346 ulps)."""
+    monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+    params, state = make_physical_params(1.0, 1.0), GaussianState(sigma0=1.0)
+    grid = grid_spanning(0.0, 10.0 * analytic_sigma(100.0, 1.0, 0.5), 0.125,
+                         dt=0.1, t_final=100.0)
+    initial = sample_gaussian_field(state, grid)
+    snaps, report = evolve(initial, grid, state, params, np.linspace(10.0, 100.0, 25))
+    assert grid.nx == 8003 and len(snaps) == 25 and report.total_substeps == 200_012
+    snaps = [(s.time, s.values) for s in snaps]
+    assert _oracle_ulps(initial.values, snaps, report, grid, 1.0, 0.5) <= _ULPS
+    segments = _segments([t for t, _ in snaps], grid.dx, 1.0, 0.5)
+    (n, nu), peak = segments[-1], np.max(initial.values)
+    for wrong in (n - 1, n + 1):
+        for wrong_nu in (nu, n * nu / wrong):  # from the stencil's snapshot before it
+            [want] = _sine_oracle(snaps[-2][1], [(wrong, wrong_nu)])
+            assert _ulps_of_peak(snaps[-1][1], want, peak) > _ULPS, (wrong, wrong_nu)
 
 
 @pytest.mark.parametrize("kernel", ["python", "compiled"], indirect=True)
