@@ -46,10 +46,6 @@ def _complain(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _trapezoid_mass(values: np.ndarray, dx: float) -> float:
-    return float((values.sum() - 0.5 * (values[0] + values[-1])) * dx)
-
-
 def _evolve_packet(cfg: RunConfig):
     """Grid, snapshots and stepper report of the config's single Gaussian packet."""
     grid = single_beam_grid(cfg)
@@ -107,12 +103,8 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
     out_dir = Path(out_dir)
     imap = simulate_double_slit(cfg.slits, grid, cfg.params, cfg.snapshot_times)
 
-    totals = imap.p_total
-    if cfg.normalize_total:
-        totals = (total / _trapezoid_mass(total, grid.dx) for total in totals)
-    _write_snapshots(out_dir, "intensity", grid, imap.times,
-                     ["p1", "p2", "p_total_normalized" if cfg.normalize_total else "p_total"],
-                     zip(imap.p1, imap.p2, totals))
+    _write_snapshots(out_dir, "intensity", grid, imap.times, ["p1", "p2", "p_total"],
+                     zip(imap.p1, imap.p2, imap.p_total))
 
     spacing = fringe_spacing(cfg.params, cfg.slits.dvx)
     half = max(-grid.x_min, grid.x_max)

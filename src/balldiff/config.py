@@ -25,28 +25,27 @@ from .core import (
     grid_spanning,
     make_physical_params,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .analytic import analytic_sigma
 from .interference import fringe_spacing, required_half_width
 
 #: ``sigma0**2`` divides the spreading law, so it must neither overflow nor underflow.
 _SIGMA0_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
-#: section -> key -> (type tag, *domain). Type tags are "float", "int", "bool", "floats"
-#: (a comma list) and "str". A domain is (">" or ">=", bound) or ("[]" or "()", low, high);
+#: section -> key -> (type tag, *domain). Type tags are "float", "int", "floats" (a comma
+#: list) and "str". A domain is (">" or ">=", bound) or ("[]" or "()", low, high);
 #: it holds for every entry of a list, and ``_parse`` enforces it.
 SCHEMA: dict[str, dict[str, tuple]] = {
     "physical": {"hbar": ("float", ">", 0), "mass": ("float", ">", 0)},
     "packet": {"sigma0": ("float", "[]", *_SIGMA0_RANGE), "center": ("float",)},
-    "grid": {"dx": ("float", ">", 0), "points_per_sigma0": ("int", ">=", 8),
-             "dt": ("float", ">", 0), "t_final": ("float", ">=", 0),
+    "grid": {"dx": ("float", ">", 0), "dt": ("float", ">", 0), "t_final": ("float", ">=", 0),
              "safety_span": ("float", ">=", MIN_SAFETY_SPAN), "nx_cap": ("int", ">=", 3)},
     "slits": {"separation": ("float", ">", 0), "v1": ("float",), "v2": ("float",),
               "dvx": ("float",)},
     "trajectories": {"quantiles": ("floats", "()", 0, 1), "v_y": ("float",)},
     "output": {"directory": ("str",), "snapshot_times": ("floats", ">=", 0),
-               "normalize_total": ("bool",), "sigma_rel_tol": ("float",),
-               "homothety_tol": ("float",), "fringe_cell_tol": ("float",)},
+               "sigma_rel_tol": ("float",), "homothety_tol": ("float",),
+               "fringe_cell_tol": ("float",)},
     "sweep": {},  # validated separately: command plus dotted config keys
 }
 
@@ -64,8 +63,6 @@ _FLOAT_SPACING_MAX = 2.0**-10
 
 #: The diffusion coefficient squares the diffusivity, so it must not overflow.
 _DIFFUSIVITY_MAX = math.sqrt(sys.float_info.max)
-
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,6 @@ class RunConfig:
     v_y: float
     directory: str | None
     snapshot_times: tuple[float, ...]
-    normalize_total: bool
     sigma_rel_tol: float | None
     homothety_tol: float | None
     fringe_cell_tol: float | None
@@ -133,13 +129,8 @@ def _parse(spec: tuple, text: str, where: str):
                 raise ValueError("not finite")
         elif kind == "int":
             value = int(text)
-            if abs(value) > sys.float_info.max:  # int keys meet floats: dx = sigma0 / n
+            if abs(value) > sys.float_info.max:  # a sweep's manifest stores values as floats
                 raise ValueError("beyond the float range")
-        elif kind == "bool":
-            word = text.strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"expected true/false, got {text!r}")
-            return _BOOL_WORDS[word]
         else:
             return text.strip()
     except ValueError as exc:
@@ -174,15 +165,7 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
     if dt is None or t_final is None:
         raise ConfigError(f"{origin}: [grid] dt and t_final are required")
 
-    dx, pps = val("grid", "dx"), val("grid", "points_per_sigma0")
-    if dx is not None and pps is not None:
-        raise ConfigError(f"{origin}: [grid] give dx or points_per_sigma0, not both")
-    if dx is None:
-        dx = state.sigma0 / (pps if pps is not None else 16)
-        if dx == 0.0:
-            raise ConfigError(f"{origin}: [grid] points_per_sigma0 = {pps:.3g} makes dx = "
-                              f"sigma0 / points_per_sigma0 underflow to 0; lower it")
-
+    dx = val("grid", "dx", state.sigma0 / 16)
     safety_span = val("grid", "safety_span", 10.0)
     nx_cap = val("grid", "nx_cap", DEFAULT_NX_CAP)
 
@@ -196,7 +179,10 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
             if raw["slits"].keys() & {"v1", "v2"}:
                 raise ConfigError(f"{origin}: [slits] give either dvx or v1/v2, not both")
             v1, v2 = 0.5 * dvx, -0.5 * dvx
-        slits = SlitConfig(separation=separation, sigma0=state.sigma0, v1=v1, v2=v2)
+        try:
+            slits = SlitConfig(separation=separation, sigma0=state.sigma0, v1=v1, v2=v2)
+        except ValidationError as exc:  # v1 - v2 overflows
+            raise ConfigError(f"{origin}: [slits] {exc}") from exc
 
     quantiles = val("trajectories", "quantiles", tuple(i / 10 for i in range(1, 10)))
     if any(b <= a for a, b in zip(quantiles, quantiles[1:])):
@@ -225,7 +211,6 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
         v_y=val("trajectories", "v_y", 1.0),
         directory=val("output", "directory"),
         snapshot_times=snapshot_times,
-        normalize_total=val("output", "normalize_total", False),
         sigma_rel_tol=val("output", "sigma_rel_tol"),
         homothety_tol=val("output", "homothety_tol"),
         fringe_cell_tol=val("output", "fringe_cell_tol"),
@@ -276,9 +261,10 @@ def sweep_points(raw: dict[str, dict[str, str]], origin: str, commands):
 
 
 def _t_end(cfg: RunConfig) -> float:
-    """The last time a run reaches: t_final, or the later step of dt stepper.plan snaps it to."""
-    snapped = float(np.rint(cfg.t_final / cfg.dt)) * cfg.dt  # inf is refused by grid_spanning
-    return snapped if cfg.t_final < snapped < math.inf else cfg.t_final
+    """The last time a run reaches: its last requested time, or the later step plan snaps it to."""
+    last = max(cfg.t_final, *cfg.snapshot_times)
+    snapped = float(np.rint(last / cfg.dt)) * cfg.dt  # inf is refused by grid_spanning
+    return snapped if last < snapped < math.inf else last
 
 
 def single_beam_grid(cfg: RunConfig) -> Grid1D:

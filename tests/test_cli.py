@@ -239,16 +239,6 @@ def test_sweep_point_without_fringes_records_an_infinite_spacing(tmp_path):
     assert (out / "manifest.txt").read_text().splitlines()[1] == "0 0 0 inf"
 
 
-def test_doubleslit_normalized_total_column(tmp_path):
-    text = BASE + SLITS + "\n[output]\nnormalize_total = yes\n"
-    out = tmp_path / "out"
-    assert main(["doubleslit", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 0
-    names, data = read_table(out / "intensity_000.txt")
-    assert names[-1] == "p_total_normalized"
-    x, total = data[:, 1], data[:, 4]
-    assert np.trapezoid(total, x) == pytest.approx(1.0, rel=1e-12)
-
-
 #: t_final = 0.26 snaps to the step t = 0.5 of dt; a grid sized at 0.26 is too narrow there
 _SNAPS_LATER = "[grid]\ndx = {dx}\ndt = 0.5\nt_final = 0.26\nsafety_span = 5\n"
 
@@ -275,6 +265,45 @@ def test_doubleslit_beams_keep_their_mass_to_the_step_t_final_snaps_to(tmp_path,
         for beam in ("p1", "p2"):
             mass = data[:, names.index(beam)].sum() * 0.1
             assert abs(mass - 1.0) <= tail, (path.name, beam, mass)
+
+
+#: t_final = 0.25 snaps to step 0 of dt (t_final / dt = 0.5 rounds to even), but a snapshot
+#: time one ulp later, which the t_final check lets through, snaps to the step t = 0.5
+_SNAPSHOT_PAST_T_FINAL = ("[physical]\nhbar = 100\n[grid]\ndx = {dx}\ndt = 0.5\n"
+                          "t_final = 0.25\nsafety_span = 5\n"
+                          "[output]\nsnapshot_times = 0, 0.25000000000000006\n")
+
+
+@pytest.mark.parametrize("command", ["spread", "trajectories"])
+def test_single_packet_grid_holds_the_step_a_late_snapshot_snaps_to(tmp_path, capsys, command):
+    text = _SNAPSHOT_PAST_T_FINAL.format(dx=0.25)
+    assert main([command, "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0, capsys.readouterr().err
+
+
+def test_doubleslit_beams_keep_their_mass_to_the_step_a_late_snapshot_snaps_to(tmp_path,
+                                                                                capsys):
+    text = _SNAPSHOT_PAST_T_FINAL.format(dx=0.1) + "[slits]\nseparation = 6\nv1 = 10\nv2 = 10\n"
+    out = tmp_path / "o"
+    assert main(["doubleslit", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == 0, capsys.readouterr().err
+    files = sorted(out.glob("intensity_*.txt"))
+    assert len(files) == 2
+    for path in files:
+        names, data = read_table(path)
+        for beam in ("p1", "p2"):
+            mass = data[:, names.index(beam)].sum() * 0.1
+            assert abs(mass - 1.0) <= 1e-6, (path.name, beam, mass)
+
+
+@pytest.mark.parametrize("command", ["spread", "doubleslit"])
+def test_overflowing_slit_velocities_name_the_file_and_section(tmp_path, capsys, command):
+    text = BASE + "\n[slits]\nseparation = 4.0\nv1 = 1e308\nv2 = -1e308\n"
+    path, out = _cfg(tmp_path, text), tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: [slits] v1 - v2 must be finite, got v1 = 1e+308, v2 = -1e+308\n")
+    assert not out.exists()
 
 
 def test_trajectories_outputs(tmp_path):
@@ -465,10 +494,11 @@ def test_convergence_rejects_single_refinement(tmp_path, capsys):
     assert "refinements" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pps", [8, 10], ids=["zero_over_zero", "zero_over_nonzero"])
-def test_convergence_with_an_error_of_zero_reports_no_order(tmp_path, capsys, pps):
+@pytest.mark.parametrize("dx", [repr(1.0 / 8), repr(1.0 / 10)],
+                         ids=["zero_over_zero", "zero_over_nonzero"])
+def test_convergence_with_an_error_of_zero_reports_no_order(tmp_path, capsys, dx):
     # a packet this heavy does not spread: some levels match the exact Gaussian to the bit
-    text = f"[physical]\nmass = 1e300\n[grid]\npoints_per_sigma0 = {pps}\ndt = 0.1\nt_final = 0.1\n"
+    text = f"[physical]\nmass = 1e300\n[grid]\ndx = {dx}\ndt = 0.1\nt_final = 0.1\n"
     out = tmp_path / "o"
     assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
                  "--quiet"]) == 1
@@ -580,14 +610,18 @@ def test_unknown_subcommand_exits(tmp_path):
         main(["render", "--config", "x", "--out", "y"])
 
 
-@pytest.mark.parametrize("pps", [0, 3])
-def test_points_per_sigma0_below_minimum_reported(tmp_path, capsys, pps):
-    text = BASE.replace("dx = 0.1", f"points_per_sigma0 = {pps}")
-    assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "points_per_sigma0 must be >= 8" in err
-    assert not (tmp_path / "o").exists()
+@pytest.mark.parametrize("command", ["spread", "doubleslit"])
+@pytest.mark.parametrize("section, line", [("grid", "points_per_sigma0 = 10"),
+                                           ("output", "normalize_total = yes")])
+def test_removed_key_is_refused_by_name(tmp_path, capsys, command, section, line):
+    # dx is written only as dx, and doubleslit always writes p_total
+    text = (BASE.replace("dx = 0.1", line) + SLITS if section == "grid"
+            else BASE + SLITS + f"\n[{section}]\n{line}\n")
+    path, out = _cfg(tmp_path, text), tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    key = line.partition(" =")[0]
+    assert capsys.readouterr().err == f"error: {path}: unknown key [{section}] {key}\n"
+    assert not out.exists()
 
 
 def test_sweep_non_numeric_value_reported(tmp_path, capsys):
@@ -599,8 +633,8 @@ def test_sweep_non_numeric_value_reported(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-#: A config that runs under every swept key: dx or points_per_sigma0, and dvx or v1/v2,
-#: are each dropped when the other is the key under test.
+#: A config that runs under every swept key: dvx or v1/v2 are dropped when the other is
+#: the key under test.
 _FULL = {
     "physical": {"hbar": "1.0", "mass": "1.0"},
     "packet": {"sigma0": "1.0", "center": "0.0"},
@@ -611,12 +645,11 @@ _FULL = {
     "output": {"sigma_rel_tol": "0.1", "homothety_tol": "0.1", "fringe_cell_tol": "1.0"},
 }
 #: The keys a config may not give together with each key.
-_RIVALS = {"dx": ("points_per_sigma0",), "points_per_sigma0": ("dx",),
-           "dvx": ("v1", "v2"), "v1": ("dvx",), "v2": ("dvx",)}
+_RIVALS = {"dvx": ("v1", "v2"), "v1": ("dvx",), "v2": ("dvx",)}
 #: Valid text for each numeric key, written in varied forms.
 _VALID = {
     "hbar": "5e-1", "mass": "2", "sigma0": "1.5", "center": "-0.25", "dx": "0.125",
-    "points_per_sigma0": "10", "dt": "2.5e-2", "t_final": "0.50", "safety_span": "12",
+    "dt": "2.5e-2", "t_final": "0.50", "safety_span": "12",
     "nx_cap": "5000", "separation": "3.", "v1": "0.5", "v2": "-.5", "dvx": "1.5e0",
     "v_y": "2.0", "sigma_rel_tol": "1e-2", "homothety_tol": "0.02", "fringe_cell_tol": "0.5",
 }
@@ -654,9 +687,8 @@ def test_one_value_sweep_builds_the_plain_config(tmp_path, section, key, kind):
 
 
 #: Text outside the domain of each scalar key that declares one.
-_OUT_OF_DOMAIN = {"hbar": "0", "mass": "-1", "sigma0": "-1", "dx": "-0.1",
-                  "points_per_sigma0": "3", "dt": "0", "t_final": "-1", "safety_span": "4",
-                  "separation": "0", "nx_cap": "2"}
+_OUT_OF_DOMAIN = {"hbar": "0", "mass": "-1", "sigma0": "-1", "dx": "-0.1", "dt": "0",
+                  "t_final": "-1", "safety_span": "4", "separation": "0", "nx_cap": "2"}
 _REFUSED = [(section, key, text) for section, key, kind in _NUMERIC_KEYS
             for text in (("8.0", "1e3", "abc", "1" + "0" * 400) if kind == "int"
                          else ("nan", "inf", "-inf", "abc"))
@@ -721,14 +753,11 @@ def test_huge_dx_reported(tmp_path, capsys):
 @pytest.mark.parametrize("packet, grid, want", [
     ("sigma0 = 1.0", "dx = 1e155\nt_final = 1.0",
      "{cfg}: [grid] dx = 1e+155 must be at most half of [packet] sigma0 = 1; lower dx\n"),
-    ("sigma0 = 1.5e-154", f"points_per_sigma0 = {10**200}\nt_final = 0",
-     "{cfg}: [grid] points_per_sigma0 = 1e+200 makes dx = sigma0 / points_per_sigma0 "
-     "underflow to 0; lower it\n"),
     ("sigma0 = 1.5e-154", "dx = 1e-155\nt_final = 1",
      "grid would need inf nodes (cap 4194304); "),
     ("sigma0 = 1e100", "dx = 1e99\nt_final = 1e308",
      "grid would need 1e+110 nodes (cap 4194304); "),
-], ids=["dx_over_the_float_range", "derived_dx_underflows", "finite_spread_of_tiny_sigma0",
+], ids=["dx_over_the_float_range", "finite_spread_of_tiny_sigma0",
         "step_count_past_the_float_range"])
 def test_refusal_names_the_key_and_the_real_cause(tmp_path, packet, grid, want):
     # sigma(1) of the third case is about 3.3e153: finite, so the node cap refuses the run;
@@ -826,7 +855,6 @@ _FINER_THAN_FLOATS = (BASE.replace("sigma0 = 1.0\n", "sigma0 = 1.0\ncenter = 0\n
 #: Every convergence level takes 0 passes (D is 5e-301), so the levels halve dx until
 #: the float-spacing refusal stops them.
 _FINER_THAN_FLOATS_BY_LEVEL = (BASE.replace("mass = 1.0", "mass = 1e300")
-                               .replace("dx = 0.1", "points_per_sigma0 = 10")
                                .replace("t_final = 1.0", "t_final = 0.1") + f"nx_cap = {10**30}\n")
 
 
@@ -979,8 +1007,6 @@ def _wild_draw(rng, command):
             continue
         if key == "nx_cap":
             value = rng.randint(-5, 4096)
-        elif kind == "int":
-            value = rng.choice([rng.randint(-20, 40), rng.randint(-10**12, 10**12)])
         elif key == "quantiles":
             value = sorted(rng.uniform(-0.3, 1.3) for _ in range(rng.randint(1, 5)))
         elif key == "snapshot_times":

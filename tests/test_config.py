@@ -42,7 +42,6 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.slits is None
     assert cfg.quantiles == tuple((i + 1) / 10 for i in range(9))
     assert cfg.snapshot_times == (0.0, 0.5, 1.0, 1.5, 2.0)
-    assert cfg.normalize_total is False
     assert cfg.sigma_rel_tol is None
 
 
@@ -65,16 +64,10 @@ def test_missing_time_settings_rejected(tmp_path):
         load_config(_write(tmp_path, "[grid]\ndt = 0.1\n"))
 
 
-def test_dx_and_points_per_sigma0_exclusive(tmp_path):
-    text = "[grid]\ndt = 0.1\nt_final = 1.0\ndx = 0.05\npoints_per_sigma0 = 16\n"
-    with pytest.raises(ConfigError, match="not both"):
-        load_config(_write(tmp_path, text))
-
-
-def test_points_per_sigma0_sets_dx(tmp_path):
-    text = "[packet]\nsigma0 = 2.0\n\n[grid]\ndt = 0.1\nt_final = 1.0\npoints_per_sigma0 = 8\n"
+def test_default_dx_is_sigma0_over_16(tmp_path):
+    text = "[packet]\nsigma0 = 2.0\n\n[grid]\ndt = 0.1\nt_final = 1.0\n"
     cfg = load_config(_write(tmp_path, text))
-    assert cfg.dx == 0.25
+    assert cfg.dx == 0.125
 
 
 def test_symmetric_dvx_split(tmp_path):
@@ -122,14 +115,6 @@ def test_empty_snapshot_times_refused(tmp_path):
     assert str(refused.value) == f"{path}: [output] snapshot_times: empty list"
 
 
-def test_bool_parsing(tmp_path):
-    for word, expected in (("yes", True), ("true", True), ("0", False)):
-        cfg = load_config(_write(tmp_path, MINIMAL + f"\n[output]\nnormalize_total = {word}\n"))
-        assert cfg.normalize_total is expected
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, MINIMAL + "\n[output]\nnormalize_total = maybe\n"))
-
-
 def test_non_finite_floats_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, "[grid]\ndt = inf\nt_final = 1.0\n"))
@@ -143,7 +128,7 @@ def test_safety_span_floor(tmp_path):
 
 @pytest.mark.parametrize("section, line, message", [
     ("physical", "hbar = -1", "[physical] hbar must be > 0, got -1.0"),
-    ("grid", "points_per_sigma0 = 3", "[grid] points_per_sigma0 must be >= 8, got 3"),
+    ("grid", "nx_cap = 2", "[grid] nx_cap must be >= 3, got 2"),
     ("packet", "sigma0 = 1e-200",
      "[packet] sigma0 must lie in [1.49e-154, 1.34e+154], got 1e-200"),
     ("trajectories", "quantiles = 0.5, 1.5",
@@ -199,21 +184,14 @@ def test_readme_config_table_states_each_schema_domain():
             assert rows.get((section, key)) == _domain_cell(spec), (section, key)
 
 
+def test_readme_config_table_lists_exactly_the_schema_keys():
+    keys = {(section, key) for section, specs in SCHEMA.items() for key in specs}
+    assert set(_readme_config_rows()) == keys | {("sweep", "command"), ("sweep", "section.key")}
+
+
 def test_missing_file_reported(tmp_path):
     with pytest.raises(ConfigError):
         load_raw(tmp_path / "absent.cfg")
-
-
-@pytest.mark.parametrize("pps", [0, 3, 7, -16])
-def test_points_per_sigma0_below_minimum_rejected(tmp_path, pps):
-    text = MINIMAL + f"points_per_sigma0 = {pps}\n"
-    with pytest.raises(ConfigError, match="points_per_sigma0 must be >= 8"):
-        load_config(_write(tmp_path, text))
-
-
-def test_points_per_sigma0_minimum_accepted(tmp_path):
-    cfg = load_config(_write(tmp_path, MINIMAL + "points_per_sigma0 = 8\n"))
-    assert cfg.dx == 1.0 / 8
 
 
 def _built(**sections):
@@ -227,7 +205,7 @@ def _half_width(grid):
 
 
 def test_single_beam_grid_spacing_and_width():
-    g = single_beam_grid(_built(grid={"points_per_sigma0": 10, "dt": 0.1, "t_final": 0.0}))
+    g = single_beam_grid(_built(grid={"dx": 1.0 / 10, "dt": 0.1, "t_final": 0.0}))
     assert g.dx == 0.1
     assert g.nx % 2 == 1
     assert _half_width(g) >= 10.0 - 1e-12
@@ -236,24 +214,24 @@ def test_single_beam_grid_spacing_and_width():
 def test_single_beam_grid_covers_final_spread():
     # D = 1 here, so sigma(1) = sqrt(2)
     cfg = _built(physical={"hbar": 2.0},
-                 grid={"points_per_sigma0": 10, "dt": 0.1, "t_final": 1.0})
+                 grid={"dx": 1.0 / 10, "dt": 0.1, "t_final": 1.0})
     assert _half_width(single_beam_grid(cfg)) >= 10.0 * math.sqrt(2.0) - 1e-12
 
 
 def test_single_beam_grid_center_is_a_node():
     cfg = _built(packet={"sigma0": 0.7, "center": 3.2},
-                 grid={"points_per_sigma0": 16, "dt": 0.1, "t_final": 2.0})
+                 grid={"dx": 0.7 / 16, "dt": 0.1, "t_final": 2.0})
     g = single_beam_grid(cfg)
     assert g.x[(g.nx - 1) // 2] == pytest.approx(3.2, abs=1e-12)
 
 
 def test_single_beam_grid_resource_cap():
     long_run = _built(physical={"hbar": 2.0},
-                      grid={"points_per_sigma0": 10, "dt": 0.1, "t_final": 1e6})
+                      grid={"dx": 1.0 / 10, "dt": 0.1, "t_final": 1e6})
     with pytest.raises(ResourceLimitError):
         single_beam_grid(long_run)
     # 10 sigma0 each side at 10 points per sigma0 needs 201 nodes
-    capped = {"points_per_sigma0": 10, "dt": 0.1, "t_final": 0.0}
+    capped = {"dx": 1.0 / 10, "dt": 0.1, "t_final": 0.0}
     assert single_beam_grid(_built(grid={**capped, "nx_cap": 201})).nx == 201
     with pytest.raises(ResourceLimitError, match="cap 200"):
         single_beam_grid(_built(grid={**capped, "nx_cap": 200}))
@@ -263,7 +241,7 @@ def test_single_beam_grid_resource_cap():
 @given(sigma0=st.floats(0.1, 10.0), t_final=st.floats(0.0, 100.0))
 def test_single_beam_grid_postconditions_hold(sigma0, t_final):
     cfg = _built(packet={"sigma0": sigma0},
-                 grid={"points_per_sigma0": 10, "safety_span": 10.0, "dt": 0.1,
+                 grid={"dx": sigma0 / 10, "safety_span": 10.0, "dt": 0.1,
                        "t_final": t_final, "nx_cap": 2**24})
     g = single_beam_grid(cfg)
     assert g.dx == sigma0 / 10
@@ -275,7 +253,7 @@ def test_single_beam_grid_postconditions_hold(sigma0, t_final):
 @pytest.mark.parametrize("velocities", [{"dvx": 2.0}, {"v1": 1.5, "v2": 0.5}],
                          ids=["symmetric", "asymmetric"])
 def test_double_slit_grid_covers_drifted_beams(velocities):
-    cfg = _built(grid={"points_per_sigma0": 16, "safety_span": 10.0, "dt": 0.01,
+    cfg = _built(grid={"dx": 1.0 / 16, "safety_span": 10.0, "dt": 0.01,
                        "t_final": 2.0},
                  slits={"separation": 6.0, **velocities})
     grid = double_slit_grid(cfg)
