@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._kernel import KERNEL_BACKEND
 from .analytic import analytic_sigma, gaussian_pdf
 from .config import (
     RunConfig,
@@ -35,6 +36,9 @@ from .trajectories import trace_flux_lines
 
 #: Acceptable observed convergence order for the second-order stencil.
 ORDER_WINDOW = (1.7, 2.3)
+
+#: Ends each command's summary line: which stencil backend ran.
+_BACKEND = f" [{KERNEL_BACKEND} kernel]"
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -86,7 +90,7 @@ def run_spread(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int:
     )
 
     _say(quiet, f"spread: {len(snaps)} snapshots on {grid.nx} nodes, "
-                f"{report.total_substeps} substeps, max nu {report.max_courant:.4f}")
+                f"{report.total_substeps} substeps, max nu {report.max_courant:.4f}{_BACKEND}")
     _say(quiet, f"spread: max sigma rel error {rel_error.max():.3e}, "
                 f"mass drift {report.mass_drift:.3e}")
     if cfg.sigma_rel_tol is not None and rel_error.max() > cfg.sigma_rel_tol:
@@ -115,10 +119,11 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
         x_ref = orders * spacing
         err_cells = np.abs(x_det - x_ref) / grid.dx
         _say(quiet, f"doubleslit: {x_det.size} maxima, spacing {spacing:.6g}, "
-                    f"worst offset {err_cells.max(initial=0.0):.3f} cells")
+                    f"worst offset {err_cells.max(initial=0.0):.3f} cells{_BACKEND}")
     else:
         orders = x_det = x_ref = err_cells = np.empty(0)
-        _say(quiet, f"doubleslit: no fringes (spacing {spacing:.6g} > half-width {half:.6g})")
+        _say(quiet, f"doubleslit: no fringes (spacing {spacing:.6g} > half-width {half:.6g})"
+                    f"{_BACKEND}")
     write_table(
         out_dir / "fringes.txt",
         ["n", "x_detected", "x_analytic", "error_cells"],
@@ -171,7 +176,7 @@ def run_trajectories(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> i
 
     worst = rel_dev.max(initial=0.0)
     _say(quiet, f"trajectories: {nq} flux lines over {nt} snapshots, "
-                f"worst homothety deviation {worst:.3e}")
+                f"worst homothety deviation {worst:.3e}{_BACKEND}")
     if cfg.homothety_tol is not None and worst > cfg.homothety_tol:
         _complain(f"homothety deviation {worst:.3e} exceeds tolerance {cfg.homothety_tol:g}")
         return 1
@@ -236,7 +241,8 @@ def run_convergence(
     )
     write_table(out_dir / "orders.txt", ["level", "order"], [levels[1:], orders])
 
-    _say(quiet, "convergence: observed orders " + ", ".join(f"{o:.3f}" for o in orders))
+    _say(quiet, "convergence: observed orders " + ", ".join(f"{o:.3f}" for o in orders)
+         + _BACKEND)
     lo, hi = ORDER_WINDOW
     bad = [o for o in orders if not (lo <= o <= hi)]
     if bad:
@@ -335,7 +341,7 @@ def run_sweep(
                 [np.arange(len(points)), *values.T, statuses, metrics])
 
     failed = sum(1 for s in statuses if s != 0)
-    _say(quiet, f"sweep: {len(points)} points, {failed} failed")
+    _say(quiet, f"sweep: {len(points)} points, {failed} failed{_BACKEND}")
     if failed:
         _complain(f"{failed} of {len(points)} sweep points failed")
         return 1

@@ -2,17 +2,12 @@ import importlib.util
 import os
 import shlex
 import shutil
-import subprocess
-import sys
 import sysconfig
-from pathlib import Path
 
 import pytest
 
-from balldiff import GaussianState, make_physical_params
+from balldiff import GaussianState, _kernel, make_physical_params
 from balldiff._kernel import select_kernel
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -27,25 +22,27 @@ def unit_state():
 
 
 @pytest.fixture(scope="session")
-def compiled_stencil(tmp_path_factory):
-    """The compiled stencil kernel, built by ``setup.py`` into a temp directory.
-
-    Nothing is written into ``src/`` or ``build/``. Skips only where no C
-    compiler is found; a failed build with a compiler present fails the tests.
-    """
+def c_compiler():
+    """Skip where no C compiler is found: ``CC``, else the one Python was built with."""
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     if shutil.which(shlex.split(cc)[0]) is None:
         pytest.skip(f"no C compiler ({cc}) to build the stencil kernel")
+
+
+@pytest.fixture(scope="session")
+def compiled_stencil(c_compiler, tmp_path_factory):
+    """The compiled stencil kernel, built from the current source by ``_kernel.build``.
+
+    It builds into a temp directory, so nothing is written into ``src/`` and a
+    library there that older source produced is never the one tested. Skips
+    only where no C compiler is found; a failed build with a compiler present
+    fails the tests and shows the build's log.
+    """
     out = tmp_path_factory.mktemp("stencil_build")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out)],
-        cwd=REPO, capture_output=True, text=True,
-    )
-    # the extension is optional, so a failed compile still exits 0: look for the library
-    built = sorted((out / "balldiff").glob("_stencil*"))
-    if proc.returncode != 0 or not built:
-        pytest.fail(f"stencil kernel failed to build:\n{proc.stdout}\n{proc.stderr}")
-    spec = importlib.util.spec_from_file_location("balldiff._stencil", built[0])
+    log = _kernel.build(str(out))
+    if log is not None:
+        pytest.fail(f"stencil kernel failed to build:\n{log}")
+    spec = importlib.util.spec_from_file_location("balldiff._stencil", out / _kernel._LIBRARY)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

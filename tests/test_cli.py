@@ -201,7 +201,8 @@ _FLAT_PHASE = BASE + "\n[slits]\nseparation = 6\n\n[output]\nfringe_cell_tol = 1
 def _no_fringes_line(path, spacing):
     grid = config.double_slit_grid(load_config(path))
     half = max(-grid.x_min, grid.x_max)
-    return f"doubleslit: no fringes (spacing {spacing:.6g} > half-width {half:.6g})\n"
+    return (f"doubleslit: no fringes (spacing {spacing:.6g} > half-width {half:.6g})"
+            f" [{balldiff.kernel_backend()} kernel]\n")
 
 
 @pytest.mark.parametrize("dvx", ["1e-5", "3e-6", "1e-6", "1e-8", "1e-12"])
@@ -1318,3 +1319,18 @@ def test_shipped_configs_write_the_same_bytes_on_both_kernels(tmp_path, monkeypa
                      "--quiet"]) == 0
         trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
     assert trees[0] and trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("command, text, summary", [
+    ("spread", BASE, " snapshots on "),
+    ("trajectories", BASE, "trajectories: "),
+    ("doubleslit", BASE + SLITS, "doubleslit: "),
+    ("convergence", BASE, "convergence: observed orders "),
+    ("sweep", BASE + "\n[sweep]\ncommand = spread\npacket.sigma0 = 1.0\n", "sweep: 1 points, "),
+], ids=["spread", "trajectories", "doubleslit", "convergence", "sweep"])
+def test_summary_line_names_the_kernel_backend(tmp_path, capsys, command, text, summary):
+    main([command, "--config", _cfg(tmp_path, text), "--out", str(tmp_path / "o")])
+    lines = [line for line in capsys.readouterr().out.splitlines() if summary in line]
+    assert len(lines) == 1 and lines[0].endswith(f" [{balldiff.kernel_backend()} kernel]")
+    # acceptance 8 compares output trees byte for byte, so the backend stays out of them
+    assert not any(b"kernel" in p.read_bytes() for p in (tmp_path / "o").rglob("*.txt"))

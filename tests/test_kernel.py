@@ -1,5 +1,9 @@
-"""Stencil kernel backends: selection rules and bit-exact agreement."""
+"""Stencil kernel backends: selection rules, the build on import, and bit-exact agreement."""
+import os
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from balldiff import kernel_backend
 from balldiff._kernel import select_kernel
 
 _py_impl, _ = select_kernel("python")
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _allocating_passes(values, nus):
@@ -50,6 +56,116 @@ def test_select_compiled_without_the_extension_refused(monkeypatch):
         select_kernel("compiled")
     assert str(refused.value) == "the compiled kernel is not built; build it with a C toolchain"
     assert select_kernel("auto")[1] == "python"
+
+
+def _copy_of(package, root, ignore=()):
+    """A copy of ``package``'s checkout under ``root``, file times kept, less ``ignore``."""
+    shutil.copy2(package.parents[1] / "setup.py", root)
+    return shutil.copytree(package, root / "src" / "balldiff",
+                           ignore=shutil.ignore_patterns(*ignore))
+
+
+def _checkout(root):
+    """A copy of this checkout under ``root`` that holds no built library or log."""
+    return _copy_of(REPO / "src" / "balldiff", root,
+                    ("_stencil*.so", "_stencil.build.log", "__pycache__"))
+
+
+def _backend(package, prelude="", **env):
+    """``kernel_backend()`` in a fresh interpreter that runs ``prelude``, then imports balldiff."""
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + "import balldiff; print(balldiff.kernel_backend())"],
+        env={**os.environ, "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1",
+             **env},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr  # the build prints nothing
+    return proc.stdout.strip()
+
+
+def _files(package):
+    return {p.name: p.stat().st_mtime_ns for p in package.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def built_checkout(tmp_path_factory, c_compiler):
+    """A checkout after its first import: its files before it, its package, its backend."""
+    package = _checkout(tmp_path_factory.mktemp("checkout"))
+    before = _files(package)
+    return before, package, _backend(package)
+
+
+def test_first_import_of_a_checkout_builds_the_compiled_kernel(built_checkout):
+    before, package, backend = built_checkout
+    assert backend == "compiled"
+    after = _files(package)
+    library = [name for name in after if name not in before]  # no log, no scratch directory
+    assert len(library) == 1 and library[0].startswith("_stencil.") and library[0].endswith(".so")
+    assert {name: after[name] for name in before} == before
+
+
+def test_second_import_does_not_rebuild(built_checkout, tmp_path):
+    package = _copy_of(built_checkout[1], tmp_path)
+    before = _files(package)
+    assert _backend(package) == "compiled"
+    assert _files(package) == before
+
+
+def test_touching_the_source_rebuilds_and_clears_an_old_log(built_checkout, tmp_path):
+    package = _copy_of(built_checkout[1], tmp_path)
+    (package / "_stencil.build.log").write_text("an earlier failure\n")
+    before = _files(package)
+    os.utime(package / "_stencil.c")
+    assert _backend(package) == "compiled"
+    after = _files(package)
+    changed = {name for name, mtime in after.items() if before.get(name) != mtime}
+    assert len(changed) == 2 and "_stencil.c" in changed  # and the library, rebuilt
+    assert "_stencil.build.log" not in after
+
+
+def test_broken_source_drops_a_stale_library(built_checkout, tmp_path):
+    package = _copy_of(built_checkout[1], tmp_path)
+    with open(package / "_stencil.c", "a") as source:
+        source.write("\nthis is not C;\n")
+    assert _backend(package) == "python"  # not the library older source produced
+    assert not any(p.suffix == ".so" for p in package.iterdir())
+    assert "_stencil.c" in (package / "_stencil.build.log").read_text()
+
+
+def test_without_a_compiler_the_build_is_logged_once(tmp_path):
+    package = _checkout(tmp_path)
+    assert _backend(package, CC="no-such-cc") == "python"
+    log = package / "_stencil.build.log"
+    assert "no-such-cc" in log.read_text()
+    before = _files(package)
+    assert not any(name.endswith(".so") for name in before)
+    assert _backend(package, CC="no-such-cc") == "python"
+    assert _files(package) == before  # no retry rewrote the log
+
+
+@pytest.mark.parametrize("layout", ["foreign_setup_py", "not_under_src"])
+def test_only_balldiffs_own_checkout_builds(tmp_path, layout):
+    package = _checkout(tmp_path)
+    if layout == "foreign_setup_py":  # balldiff vendored beside another project's setup.py
+        (tmp_path / "setup.py").write_text("open('ran', 'w')\n")
+    else:  # lib/balldiff: the setup.py two directories up is not the one that builds it
+        package = (tmp_path / "src").rename(tmp_path / "lib") / "balldiff"
+    before = _files(package)
+    assert _backend(package) == "python"
+    assert _files(package) == before and not (tmp_path / "ran").exists()
+
+
+def test_read_only_package_is_left_untouched(tmp_path):
+    package = _checkout(tmp_path)
+    before = _files(package)
+    package.chmod(0o555)
+    # root may write whatever the mode bits say, so stand in for the refusal it never gets
+    prelude = "import os; os.access = lambda *a, **k: False; " if os.geteuid() == 0 else ""
+    try:
+        assert _backend(package, prelude) == "python"
+    finally:
+        package.chmod(0o755)
+    assert _files(package) == before
 
 
 def test_select_unknown_name_rejected():
