@@ -1,5 +1,6 @@
-"""Stencil backend selection: the compiled extension where it is built (a source
-checkout builds it on its first import), else the numpy implementation, transparently."""
+"""Backend selection for the stencil and the table formatter: the compiled extension
+where it is built (a source checkout builds it on its first import), else the numpy
+stencil and ``format_rows = None``, which sends tables to the numpy writer in ``tables``."""
 import contextlib
 import importlib.machinery
 import os
@@ -63,3 +64,4 @@ if (_mtime(_LIBRARY) < _mtime("_stencil.c") >= _mtime(_LOG)  # stale, no failure
             build()  # a build that cannot start, like a failed one, leaves the numpy kernel
 _impl, KERNEL_BACKEND = select_kernel()
 apply_passes = _impl.apply_passes
+format_rows = _impl.format_rows if KERNEL_BACKEND == "compiled" else None

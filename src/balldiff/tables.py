@@ -4,23 +4,26 @@
 comparisons and re-parsing are bit-stable across platforms. Data files
 carry no timestamps or other run metadata.
 
-Every cell is written as ``"%.17g" % value``, through one row format per
-table that a single ``%`` fills for each block of rows. A column whose
-float64 values all have the same bits (such as a snapshot's time) is
-formatted once and baked into the row format, which it cannot disturb:
-a float's text never contains ``%``. A :class:`FormattedColumn`
-(such as a run's x axis, shared by every snapshot table) is formatted once
-when it is built and fills a ``%s`` of each row. So the bytes are those of
-the per-cell format either way.
+Every cell is written as ``"%.17g" % value``, by one of two writers with
+the same bytes. Where the compiled extension is live, its ``format_rows``
+formats each block of rows in C (``_stencil.c`` says why each cell is
+exact). Elsewhere the numpy writer fills one row format per table with a
+single ``%`` per block of rows. A column whose float64 values all have the
+same bits (such as a snapshot's time) is baked into that row format, which
+it cannot disturb: a float's text never contains ``%``. A
+:class:`FormattedColumn` (such as a run's x axis, shared by every snapshot
+table) is formatted once, on first use, and fills a ``%s`` of each row.
 """
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from ._kernel import format_rows
 from .errors import ValidationError
 
 #: Rows formatted and written per block: bounds the formatting buffer
@@ -29,25 +32,26 @@ _BLOCK_ROWS = 512
 
 
 class FormattedColumn:
-    """A float column formatted once, for a column several tables share.
+    """A float column several tables share, formatted at most once.
 
-    Holds one newline-joined string per :data:`_BLOCK_ROWS` rows rather
-    than one ``str`` per value; :func:`write_table` splits a block when it
-    writes that block's rows.
+    The numpy writer formats it on first use into one newline-joined string
+    per :data:`_BLOCK_ROWS` rows rather than one ``str`` per value, and splits
+    a block when it writes that block's rows; the compiled writer reads values.
     """
 
     def __init__(self, values):
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValidationError(f"a formatted column must be 1-d, got shape {v.shape}")
-        self._rows = v.shape[0]
-        self._blocks = []
-        for start in range(0, v.shape[0], _BLOCK_ROWS):
-            chunk = v[start:start + _BLOCK_ROWS].tolist()
-            self._blocks.append("\n".join(["%.17g"] * len(chunk)) % tuple(chunk))
+        self.values = np.array(values, dtype=np.float64)  # a copy: the caller may change theirs
+        if self.values.ndim != 1:
+            raise ValidationError(f"a formatted column must be 1-d, got shape {self.values.shape}")
 
     def __len__(self) -> int:
-        return self._rows
+        return self.values.shape[0]
+
+    @cached_property
+    def _blocks(self) -> list[str]:
+        chunks = (self.values[start:start + _BLOCK_ROWS].tolist()
+                  for start in range(0, len(self), _BLOCK_ROWS))
+        return ["\n".join(["%.17g"] * len(chunk)) % tuple(chunk) for chunk in chunks]
 
 
 def write_table(path, column_names: list[str], columns: list) -> None:
@@ -67,6 +71,19 @@ def write_table(path, column_names: list[str], columns: list) -> None:
         raise ValidationError(f"columns have differing lengths {sorted(lengths)}")
     n = len(cols[0]) if cols else 0
 
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write("# " + " ".join(column_names) + "\n")
+        if format_rows is None:
+            fh.writelines(_numpy_blocks(cols, n))
+        else:
+            arrays = [c.values if isinstance(c, FormattedColumn) else c for c in cols]
+            fh.writelines(format_rows(np.column_stack([a[s:s + _BLOCK_ROWS] for a in arrays]))
+                          for s in range(0, n, _BLOCK_ROWS))
+
+
+def _numpy_blocks(cols: list, n: int):
+    """The numpy writer: the text of each :data:`_BLOCK_ROWS` rows in turn."""
     items, cells = [], []  # the row format's item per column; the columns that fill items
     for c in cols:
         formatted = isinstance(c, FormattedColumn)
@@ -77,15 +94,11 @@ def write_table(path, column_names: list[str], columns: list) -> None:
             items.append("%s" if formatted else "%.17g")
             cells.append(c)
     row = " ".join(items) + "\n"
-
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("# " + " ".join(column_names) + "\n")
-        for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
-            rows = min(_BLOCK_ROWS, n - start)
-            block = [c._blocks[b].split("\n") if isinstance(c, FormattedColumn)
-                     else c[start:start + rows].tolist() for c in cells]
-            fh.write((row * rows) % tuple(chain.from_iterable(zip(*block))))
+    for b, start in enumerate(range(0, n, _BLOCK_ROWS)):
+        rows = min(_BLOCK_ROWS, n - start)
+        block = [c._blocks[b].split("\n") if isinstance(c, FormattedColumn)
+                 else c[start:start + rows].tolist() for c in cells]
+        yield (row * rows) % tuple(chain.from_iterable(zip(*block)))
 
 
 def read_table(path) -> tuple[list[str], np.ndarray]:

@@ -21,11 +21,17 @@ def unit_state():
     return GaussianState(sigma0=1.0, center=0.0)
 
 
+def _c_compiler() -> tuple[str, bool]:
+    """``CC``, else the compiler Python was built with, and whether it is found."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    return cc, shutil.which(shlex.split(cc)[0]) is not None
+
+
 @pytest.fixture(scope="session")
 def c_compiler():
     """Skip where no C compiler is found: ``CC``, else the one Python was built with."""
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(shlex.split(cc)[0]) is None:
+    cc, found = _c_compiler()
+    if not found:
         pytest.skip(f"no C compiler ({cc}) to build the stencil kernel")
 
 
@@ -46,6 +52,15 @@ def compiled_stencil(c_compiler, tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def table_writers(request):
+    """Each table writer's ``tables.format_rows``: None (the numpy writer), then the
+    compiled formatter wherever a C compiler is found."""
+    if not _c_compiler()[1]:
+        return [None]
+    return [None, request.getfixturevalue("compiled_stencil").format_rows]
 
 
 @pytest.fixture(params=["python", "compiled"])

@@ -18,6 +18,7 @@ import pytest
 import balldiff
 import balldiff.cli as cli
 import balldiff.stepper as stepper
+import balldiff.tables as tables
 from balldiff import (
     GaussianState,
     analytic_sigma,
@@ -1311,9 +1312,12 @@ def test_refused_run_leaves_no_output_directory(tmp_path, capsys, command, text,
 ])
 def test_shipped_configs_write_the_same_bytes_on_both_kernels(tmp_path, monkeypatch,
                                                               compiled_stencil, command, config):
+    """Each backend whole: the numpy stencil and table writer, then the compiled ones."""
     trees = []
-    for name, kernel in [("python", select_kernel("python")[0]), ("compiled", compiled_stencil)]:
+    for name, kernel, format_rows in [("python", select_kernel("python")[0], None),
+                                      ("compiled", compiled_stencil, compiled_stencil.format_rows)]:
         monkeypatch.setattr(stepper, "apply_passes", kernel.apply_passes)
+        monkeypatch.setattr(tables, "format_rows", format_rows)
         out = tmp_path / name
         assert main([command, "--config", str(CONFIGS / f"{config}.cfg"), "--out", str(out),
                      "--quiet"]) == 0

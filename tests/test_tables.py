@@ -1,14 +1,42 @@
-"""Table serialization: exact float round-trips and header handling."""
+"""Table serialization: exact float round-trips and header handling.
+
+Every write below goes through both table writers, the numpy one and, wherever
+a C compiler is found, the compiled formatter, and checks they write the same bytes.
+"""
 import math
+import os
 import re
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balldiff import ValidationError
-from balldiff.tables import _BLOCK_ROWS, FormattedColumn, read_table, write_table
+from balldiff import ValidationError, tables
+from balldiff.tables import _BLOCK_ROWS, FormattedColumn, read_table
+
+_WRITERS = []  # each writer's tables.format_rows, set once for the module by _every_writer
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _every_writer(table_writers):
+    _WRITERS[:] = table_writers
+
+
+def write_table(path, column_names, columns):
+    """``tables.write_table`` on each writer in turn; all must write the same bytes."""
+    written = []
+    for format_rows in _WRITERS:
+        live, tables.format_rows = tables.format_rows, format_rows
+        try:
+            tables.write_table(path, column_names, columns)
+        finally:
+            tables.format_rows = live
+        written.append(Path(path).read_bytes())
+    assert written == written[:1] * len(written)
 
 
 def test_round_trip_is_bitwise_exact(tmp_path):
@@ -260,3 +288,98 @@ def test_write_matches_per_cell_formatting_property(tmp_path_factory, values, nc
     names = [f"c{j}" for j in range(ncols)]
     write_table(path, names, columns)
     assert path.read_bytes() == _per_cell_reference(names, columns)
+
+
+def _assert_formats_like_percent(format_rows, block):
+    """format_rows(block) is '%.17g' % v per cell, ' ' between cells, '\\n' after each row."""
+    rows, cols = block.shape
+    got = format_rows(block)
+    if got != ((" ".join(["%.17g"] * cols) + "\n") * rows) % tuple(block.ravel().tolist()):
+        bad = [(v, g) for v, g in zip(block.ravel().tolist(), got.split()) if g != "%.17g" % v]
+        pytest.fail(f"format_rows differs from '%.17g' % v (value, text): {bad[:10]}")
+
+
+def test_format_rows_matches_percent_on_random_bit_patterns(compiled_stencil):
+    bits = np.random.default_rng(20261020).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    block = bits.view(np.float64).reshape(-1, 4)
+    _assert_formats_like_percent(compiled_stencil.format_rows, block)
+
+
+def _near_ties():
+    """Doubles whose 17-digit scaled value D = |v| * 10^(16 - k) lies near an integer + 1/2.
+
+    Built from modular inverses: for v >= 1e39, where the table of 10^q is inexact,
+    D = m * 2^(e2 - p) / 5^p, and for 1e-15 <= v < 1e-7, D = m * 5^q / 2^s.
+    """
+    out = []
+    for p in range(23, 28):
+        five = 5**p
+        for e2 in range(p, p + 80):
+            inv = pow(2 ** (e2 - p), -1, five)
+            for j in range(-8, 8):
+                m = ((five + 1) // 2 + j) * inv % five
+                if 2**52 <= m < 2**53 and 10 ** (p + 16) <= m << e2 < 10 ** (p + 17):
+                    out.append(math.ldexp(m, e2))
+    for q in range(24, 32):
+        five = 5**q
+        for s in range(56, 67):
+            inv = pow(five, -1, 2**s)
+            for j in range(-(2 ** (s - 56)), 2 ** (s - 56) + 1):
+                m = (2 ** (s - 1) + j) * inv % 2**s
+                if 2**52 <= m < 2**53 and 10**16 <= m * five >> s < 10**17:
+                    out.append(math.ldexp(m, -q - s))
+    return out
+
+
+def _edge_values():
+    nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0x7FF4000000000000,
+                     0x7FFFFFFFFFFFFFFF, 0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64)
+    marks = np.array([0.0, 5e-324, sys.float_info.min, sys.float_info.max, 1e-5, 1e-4, 1e16, 1e17]
+                     + [2.0**e for e in range(-1074, 1024)]
+                     + [float(f"1e{e}") for e in range(-323, 309)])
+    below, above = marks.copy(), marks.copy()
+    with np.errstate(over="ignore"):  # DBL_MAX's upper neighbour is inf
+        for _ in range(4):  # four neighbours each way
+            below, above = np.nextafter(below, -math.inf), np.nextafter(above, math.inf)
+            marks = np.concatenate([marks, below, above])
+    n = np.arange(1e15 - 2048, 1e15 + 2048)
+    ints = ([float(2**53 + i) for i in range(-64, 65)]
+            + [float(10**17 + i) for i in range(-2048, 2049, 7)])
+    values = np.concatenate([nans, [math.inf], marks, n + 0.25, n + 0.75, ints, _near_ties()])
+    return np.concatenate([values, -values])
+
+
+def test_format_rows_matches_percent_on_edge_values(compiled_stencil):
+    """Signed zeros, infinities, NaNs of both signs and several payloads, subnormals, the
+    limits, every power of 2 and of 10, integers around 2^53 and 1e17, exact ties at the
+    17th digit, near ties, and the switches to exponent form, each with its neighbours."""
+    _assert_formats_like_percent(compiled_stencil.format_rows, _edge_values().reshape(-1, 1))
+
+
+def test_format_rows_shapes(compiled_stencil):
+    fmt = compiled_stencil.format_rows
+    assert fmt(np.empty((0, 3))) == "" and fmt(np.empty((2, 0))) == "\n\n"
+    assert fmt([[1.5, -0.0], [math.nan, 1e300]]) == "1.5 -0\nnan 1.0000000000000001e+300\n"
+    assert fmt(np.arange(6.0).reshape(2, 3).T) == "0 3\n1 4\n2 5\n"  # any strides
+    with pytest.raises(ValueError):
+        fmt(np.zeros(3))
+
+
+def test_compiled_writer_memory_is_bounded_by_its_block(monkeypatch, compiled_stencil):
+    """A 2^20-row, 3-column table peaks at about one block's text, not at the table's.
+
+    Each format_rows call holds the stacked (512, 3) float64 block (12 KiB), its C
+    buffer of at most 25 bytes a cell (38 KiB), the str made from that buffer and the
+    file's encoded copy of it (38 KiB each): under 0.2 MiB. The table's text is over
+    50 MiB. The 1 MiB bound leaves room for the interpreter's own allocations.
+    """
+    monkeypatch.setattr(tables, "format_rows", compiled_stencil.format_rows)
+    rng = np.random.default_rng(7)
+    columns = [rng.random(2**20) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        tables.write_table(os.devnull, ["a", "b", "c"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
