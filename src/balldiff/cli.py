@@ -28,8 +28,8 @@ from .config import (
     sweep_points,
 )
 from .core import grid_spanning  # noqa: F401  (unused: kept bound for perfbench/spans.py)
-from .errors import BalldiffError, ConfigError, ValidationError
-from .interference import detect_fringe_maxima, fringe_spacing, simulate_double_slit
+from .errors import BalldiffError, ValidationError
+from .interference import ENVELOPE_FLOOR, detect_fringe_maxima, fringe_spacing, simulate_double_slit
 from .stepper import evolve, march, plan, sample_gaussian_field, second_moment_sigma
 from .tables import FormattedColumn, read_table, write_table
 from .trajectories import trace_flux_lines
@@ -112,9 +112,12 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
 
     spacing = fringe_spacing(cfg.params, cfg.slits.dvx)
     half = max(-grid.x_min, grid.x_max)
-    has_fringes = spacing <= half  # a crest besides n = 0 lies on the grid; inf never does
+    p1, p2 = imap.p1[-1], imap.p2[-1]
+    overlap = 2.0 * np.sqrt(p1 * p2).max() > ENVELOPE_FLOOR * max(p1.max(), p2.max())
+    # a crest besides n = 0 lies on the grid (inf never does), where both beams reach
+    has_fringes = spacing <= half and overlap
     if has_fringes:
-        x_det = detect_fringe_maxima(imap.x_axis, imap.p1[-1], imap.p2[-1], imap.p_total[-1])
+        x_det = detect_fringe_maxima(imap.x_axis, p1, p2, imap.p_total[-1])
         orders = np.rint(x_det / spacing)
         x_ref = orders * spacing
         err_cells = np.abs(x_det - x_ref) / grid.dx
@@ -122,8 +125,9 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
                     f"worst offset {err_cells.max(initial=0.0):.3f} cells{_BACKEND}")
     else:
         orders = x_det = x_ref = err_cells = np.empty(0)
-        _say(quiet, f"doubleslit: no fringes (spacing {spacing:.6g} > half-width {half:.6g})"
-                    f"{_BACKEND}")
+        why = (f"spacing {spacing:.6g} > half-width {half:.6g}" if spacing > half
+               else "beams do not overlap")
+        _say(quiet, f"doubleslit: no fringes ({why}){_BACKEND}")
     write_table(
         out_dir / "fringes.txt",
         ["n", "x_detected", "x_analytic", "error_cells"],
@@ -366,9 +370,7 @@ def _build_parser():
     for name, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument(
-            "--out", help="output directory (default: [output] directory from the config)"
-        )
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         if name == "convergence":
             p.add_argument(
@@ -383,25 +385,14 @@ def _build_parser():
     return parser
 
 
-def _resolve_out(arg_out: str | None, configured: str | None, origin: str) -> Path:
-    if arg_out is not None:
-        return Path(arg_out)
-    if configured:
-        return Path(configured)
-    raise ConfigError(f"{origin}: no output directory; pass --out or set [output] directory")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
         if args.command == "sweep":
-            raw = load_raw(args.config)
-            out = _resolve_out(args.out, raw.get("output", {}).get("directory"),
-                               str(args.config))
-            return run_sweep(raw, str(args.config), out,
+            return run_sweep(load_raw(args.config), str(args.config), out,
                              workers=args.workers, quiet=args.quiet)
         cfg = load_config(args.config)
-        out = _resolve_out(args.out, cfg.directory, cfg.origin)
         if args.command == "convergence":
             return run_convergence(cfg, out, refinements=args.refinements, quiet=args.quiet)
         runner, _ = _SWEEP_COMMANDS[args.command]
@@ -413,7 +404,7 @@ def main(argv=None) -> int:
         _complain(f"cannot write output: {exc}")
         return 1
     except MemoryError as exc:
-        _complain(f"out of memory: {exc}; lower [grid] nx_cap or coarsen dx")
+        _complain(f"out of memory: {exc}; coarsen dx")
         return 1
 
 

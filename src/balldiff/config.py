@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DEFAULT_NX_CAP,
     MIN_SAFETY_SPAN,
     GaussianState,
     Grid1D,
@@ -32,20 +31,19 @@ from .interference import fringe_spacing, required_half_width
 #: ``sigma0**2`` divides the spreading law, so it must neither overflow nor underflow.
 _SIGMA0_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
-#: section -> key -> (type tag, *domain). Type tags are "float", "int", "floats" (a comma
-#: list) and "str". A domain is (">" or ">=", bound) or ("[]" or "()", low, high);
+#: section -> key -> (type tag, *domain). Type tags are "float" and "floats" (a comma
+#: list). A domain is (">" or ">=", bound) or ("[]" or "()", low, high);
 #: it holds for every entry of a list, and ``_parse`` enforces it.
 SCHEMA: dict[str, dict[str, tuple]] = {
     "physical": {"hbar": ("float", ">", 0), "mass": ("float", ">", 0)},
     "packet": {"sigma0": ("float", "[]", *_SIGMA0_RANGE), "center": ("float",)},
     "grid": {"dx": ("float", ">", 0), "dt": ("float", ">", 0), "t_final": ("float", ">=", 0),
-             "safety_span": ("float", ">=", MIN_SAFETY_SPAN), "nx_cap": ("int", ">=", 3)},
+             "safety_span": ("float", ">=", MIN_SAFETY_SPAN)},
     "slits": {"separation": ("float", ">", 0), "v1": ("float",), "v2": ("float",),
               "dvx": ("float",)},
     "trajectories": {"quantiles": ("floats", "()", 0, 1), "v_y": ("float",)},
-    "output": {"directory": ("str",), "snapshot_times": ("floats", ">=", 0),
-               "sigma_rel_tol": ("float",), "homothety_tol": ("float",),
-               "fringe_cell_tol": ("float",)},
+    "output": {"snapshot_times": ("floats", ">=", 0), "sigma_rel_tol": ("float",),
+               "homothety_tol": ("float",), "fringe_cell_tol": ("float",)},
     "sweep": {},  # validated separately: command plus dotted config keys
 }
 
@@ -76,11 +74,9 @@ class RunConfig:
     dt: float
     t_final: float
     safety_span: float
-    nx_cap: int
     slits: SlitConfig | None
     quantiles: tuple[float, ...]
     v_y: float
-    directory: str | None
     snapshot_times: tuple[float, ...]
     sigma_rel_tol: float | None
     homothety_tol: float | None
@@ -123,16 +119,9 @@ def _parse(spec: tuple, text: str, where: str):
             raise ConfigError(f"{where}: empty list")
         return tuple(_parse(("float", *domain), s, where) for s in items)
     try:
-        if kind == "float":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError("not finite")
-        elif kind == "int":
-            value = int(text)
-            if abs(value) > sys.float_info.max:  # a sweep's manifest stores values as floats
-                raise ValueError("beyond the float range")
-        else:
-            return text.strip()
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("not finite")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     if domain:
@@ -167,7 +156,6 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
 
     dx = val("grid", "dx", state.sigma0 / 16)
     safety_span = val("grid", "safety_span", 10.0)
-    nx_cap = val("grid", "nx_cap", DEFAULT_NX_CAP)
 
     slits = None
     if "slits" in raw:
@@ -205,11 +193,9 @@ def build_config(raw: dict[str, dict[str, str]], origin: str) -> RunConfig:
         dt=dt,
         t_final=t_final,
         safety_span=safety_span,
-        nx_cap=nx_cap,
         slits=slits,
         quantiles=quantiles,
         v_y=val("trajectories", "v_y", 1.0),
-        directory=val("output", "directory"),
         snapshot_times=snapshot_times,
         sigma_rel_tol=val("output", "sigma_rel_tol"),
         homothety_tol=val("output", "homothety_tol"),
@@ -243,7 +229,7 @@ def sweep_points(raw: dict[str, dict[str, str]], origin: str, commands):
         spec = SCHEMA.get(section, {}).get(key)
         if not key or spec is None:
             raise ConfigError(f"{origin}: [sweep] unknown target {dotted!r}")
-        if spec[0] not in ("float", "int"):
+        if spec[0] != "float":
             raise ConfigError(f"{origin}: [sweep] cannot sweep {spec[0]} key {dotted!r}")
         if not _items(text):
             raise ConfigError(f"{origin}: [sweep] {dotted} has no values")
@@ -304,7 +290,7 @@ def _grid_around(cfg: RunConfig, center: float, half: float) -> Grid1D:
     if cfg.dx > 0.5 * cfg.state.sigma0:  # coarser nodes cannot sample the packet
         raise ConfigError(f"{cfg.origin}: [grid] dx = {cfg.dx:g} must be at most half of "
                           f"[packet] sigma0 = {cfg.state.sigma0:g}; lower dx")
-    grid = grid_spanning(center, half, cfg.dx, dt=cfg.dt, t_final=cfg.t_final, nx_cap=cfg.nx_cap)
+    grid = grid_spanning(center, half, cfg.dx, dt=cfg.dt, t_final=cfg.t_final)
     # far from 0 the float spacing can reach dx, and then no domain width resolves the packet
     edge = max(grid.x_min, grid.x_max, key=abs)
     spacing = math.ulp(edge)

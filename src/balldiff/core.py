@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 
-#: Default upper bound on grid nodes; spreading is linear in t at late times,
-#: so an over-long run would otherwise exhaust memory instead of failing fast.
-DEFAULT_NX_CAP = 2**22
+#: Upper bound on grid nodes; spreading is linear in t at late times, so an
+#: over-long run would otherwise exhaust memory instead of failing fast.
+NX_CAP = 2**22
 
 #: Upper bound on macro steps; it keeps ``math.ceil`` of the step count and every
 #: snapshot's step index finite, so a tiny dt is refused by name, not overflowed.
@@ -173,7 +173,6 @@ def grid_spanning(
     *,
     dt: float,
     t_final: float,
-    nx_cap: int = DEFAULT_NX_CAP,
 ) -> Grid1D:
     """Build an odd-node grid centered on ``center`` covering the given half-width."""
     dx = _require_positive("dx", dx)
@@ -185,9 +184,9 @@ def grid_spanning(
     if math.isfinite(n_half):  # ceil cannot take inf; the cap check refuses it
         n_half = max(1, math.ceil(n_half))
     nx = 2.0 * n_half + 1  # a float, so a count past the float range reads inf
-    if nx > nx_cap:
+    if nx > NX_CAP:
         raise ResourceLimitError(
-            f"grid would need {nx:.15g} nodes (cap {nx_cap}); "
+            f"grid would need {nx:.15g} nodes (cap {NX_CAP}); "
             "coarsen dx, shorten t_final, or lower safety_span"
         )
     steps = t_final / dt - 1e-9

@@ -19,8 +19,9 @@ from .errors import DomainTooSmallError, ValidationError
 from .stepper import evolve  # noqa: F401  (unused: kept bound for perfbench/spans.py)
 from .stepper import march, plan, sample_gaussian_field
 
-#: Fringe search ignores cells whose beam envelope is below this fraction of its peak.
-_ENVELOPE_FLOOR = 1e-9
+#: Fringe search ignores cells whose beam envelope is below this fraction of its peak,
+#: and beams whose envelope peaks below this fraction of the larger beam make no fringes.
+ENVELOPE_FLOOR = 1e-9
 
 #: Rounding bound of the cross term p_total - p1 - p2, in units of p1 + p2 + p_total.
 _ROUNDING = 8.0 * np.finfo(np.float64).eps
@@ -142,12 +143,12 @@ def detect_fringe_maxima(
     ``(p_total - p1 - p2) / (2 sqrt(p1 p2))``, which recovers the phase
     cosine; maxima of the raw cross term are dragged toward the envelope
     peak and would not land on the cosine's crests. Cells where the
-    envelope is below :data:`_ENVELOPE_FLOOR` of its maximum are ignored,
+    envelope is below :data:`ENVELOPE_FLOOR` of its maximum are ignored,
     and a maximum counts only if it rises above both neighbours by more
     than their rounding bounds, so a flat phase yields none.
     """
     envelope = 2.0 * np.sqrt(p1 * p2)
-    valid = envelope > _ENVELOPE_FLOOR * envelope.max()  # none when the beams never overlap
+    valid = envelope > ENVELOPE_FLOOR * envelope.max()  # none when the beams never overlap
     scale = np.where(valid, envelope, 1.0)  # cells left invalid are masked out below
     ratio = (p_total - p1 - p2) / scale
     noise = _ROUNDING * (p1 + p2 + p_total) / scale  # bound on the ratio's rounding error

@@ -195,6 +195,21 @@ def test_doubleslit_zero_dvx_has_no_fringes(tmp_path):
     assert fr.shape[0] == 0
 
 
+@pytest.mark.parametrize("text", [
+    BASE + "\n[slits]\nseparation = 60\ndvx = 1\n\n[output]\nfringe_cell_tol = 1\n",
+    (CONFIGS / "doubleslit.cfg").read_text().replace("separation = 6.0", "separation = 80"),
+], ids=["separation_60", "shipped_at_separation_80"])
+def test_beams_that_never_overlap_make_no_fringes(tmp_path, capsys, text):
+    # the last snapshot's envelope 2 sqrt(p1 p2) is 0, so the grid holds crests of the phase
+    # but no fringes, as with an infinite spacing, and fringe_cell_tol is not checked
+    out = tmp_path / "o"
+    assert main(["doubleslit", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ("doubleslit: no fringes (beams do not overlap) "
+                                       f"[{balldiff.kernel_backend()} kernel]\n")
+    _, fr = read_table(out / "fringes.txt")
+    assert fr.shape[0] == 0
+
+
 #: A phase too flat to resolve over the grid: x = 0 is the only crest it holds, n = 0.
 _FLAT_PHASE = BASE + "\n[slits]\nseparation = 6\n\n[output]\nfringe_cell_tol = 1\n"
 
@@ -418,24 +433,25 @@ def test_convergence_refuses_a_t_final_that_rounds_to_no_step(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit, args, max_passes, reason", [
-    (("[grid]\n", "[grid]\nnx_cap = 500\n"), [], None, "grid would need 897 nodes (cap 500)"),
-    (("dt = 0.05", "dt = 1e-7"), [], None, "run would need 1e+07 macro steps (cap 4194304)"),
+@pytest.mark.parametrize("edit, args, caps, reason", [
+    (("", ""), [], {"balldiff.core.NX_CAP": 500}, "grid would need 897 nodes (cap 500)"),
+    (("dt = 0.05", "dt = 1e-7"), [], {}, "run would need 1e+07 macro steps (cap 4194304)"),
     # levels 0-2 take 8, 32 and 125 passes, level 3 takes 500
-    (("", ""), [], 400, "run would need 500 stencil passes (cap 400)"),
+    (("", ""), [], {"balldiff.stepper.MAX_PASSES": 400},
+     "run would need 500 stencil passes (cap 400)"),
     # levels are sized one by one, so the pass cap stops the loop at level 11, long
     # before 2**level leaves the float range at level 1024
-    (("", ""), ["--refinements", "600"], None, "run would need 3.28e+07 stencil passes"),
-    (("", ""), ["--refinements", "1100"], None, "run would need 3.28e+07 stencil passes"),
+    (("", ""), ["--refinements", "600"], {}, "run would need 3.28e+07 stencil passes"),
+    (("", ""), ["--refinements", "1100"], {}, "run would need 3.28e+07 stencil passes"),
 ], ids=["nx_cap", "macro_step_cap", "pass_cap", "refinements_600", "refinements_1100"])
 def test_convergence_refuses_a_level_before_any_level_runs(tmp_path, capsys, monkeypatch,
-                                                           edit, args, max_passes, reason):
+                                                           edit, args, caps, reason):
     def march(*_):
         pytest.fail("a convergence level ran before every level was sized")
 
     monkeypatch.setattr(cli, "march", march)
-    if max_passes is not None:
-        monkeypatch.setattr(stepper, "MAX_PASSES", max_passes)
+    for target, cap in caps.items():
+        monkeypatch.setattr(target, cap)
     text = (CONFIGS / "convergence.cfg").read_text().replace(*edit)
     out = tmp_path / "o"
     assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
@@ -445,26 +461,27 @@ def test_convergence_refuses_a_level_before_any_level_runs(tmp_path, capsys, mon
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit, args, max_passes, message", [
-    (("dt = 0.05", "dt = 1e-7"), [], None,
+@pytest.mark.parametrize("edit, args, caps, message", [
+    (("dt = 0.05", "dt = 1e-7"), [], {},
      "run would need 1e+07 macro steps (cap 4194304); raise dt or shorten t_final"),
-    (("", ""), [], 7, "run would need 8 stencil passes (cap 7); raise dx or shorten t_final"),
+    (("", ""), [], {"balldiff.stepper.MAX_PASSES": 7},
+     "run would need 8 stencil passes (cap 7); raise dx or shorten t_final"),
     # levels 0-2 take 8, 32 and 125 passes; every study runs levels 0-2
-    (("", ""), [], 100, "convergence level 2 with dx = 0.05 is refused: run would need 125 "
-     "stencil passes (cap 100); raise [grid] dx"),
-    (("[grid]\n", "[grid]\nnx_cap = 500\n"), [], None, "convergence level 3 with dx = 0.025 is "
+    (("", ""), [], {"balldiff.stepper.MAX_PASSES": 100}, "convergence level 2 with dx = 0.05 "
+     "is refused: run would need 125 stencil passes (cap 100); raise [grid] dx"),
+    (("", ""), [], {"balldiff.core.NX_CAP": 500}, "convergence level 3 with dx = 0.025 is "
      "refused: grid would need 897 nodes (cap 500); lower --refinements below 3"),
-    (("", ""), ["--refinements", "600"], None, "convergence level 11 with dx = 9.76563e-05 is "
+    (("", ""), ["--refinements", "600"], {}, "convergence level 11 with dx = 9.76563e-05 is "
      "refused: run would need 3.28e+07 stencil passes (cap 16777216); "
      "lower --refinements below 11"),
 ], ids=["level_0_steps", "level_0_passes", "level_2_passes", "level_3_nodes", "level_11_passes"])
 def test_convergence_refusal_of_a_refined_level_names_the_level(tmp_path, capsys, monkeypatch,
-                                                                 edit, args, max_passes, message):
+                                                                 edit, args, caps, message):
     """Level 0 runs at the config's own dx and keeps the refusal's own text; a refined
     level's refusal names the level and its dx, and past level 2, the least every study
     runs, fewer refinements as the remedy."""
-    if max_passes is not None:
-        monkeypatch.setattr(stepper, "MAX_PASSES", max_passes)
+    for target, cap in caps.items():
+        monkeypatch.setattr(target, cap)
     text = (CONFIGS / "convergence.cfg").read_text().replace(*edit)
     out = tmp_path / "o"
     assert main(["convergence", "--config", _cfg(tmp_path, text), "--out", str(out),
@@ -577,27 +594,27 @@ def test_sweep_failing_point_recorded(tmp_path):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_failed_point_reports_its_reason(tmp_path, capsys, workers):
     # point 000 parses, and its grid is refused only when the point runs
-    text = BASE + "\n[sweep]\ncommand = spread\ngrid.nx_cap = 5, 100000\n"
+    text = BASE + "\n[sweep]\ncommand = spread\ngrid.dx = 1e-9, 0.1\n"
     out = tmp_path / "out"
     assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet",
                  "--workers", workers]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("error: point 000: ")
-    assert err[0].endswith("grid would need 225 nodes (cap 5); "
+    assert err[0].endswith("grid would need 22360679777 nodes (cap 4194304); "
                            "coarsen dx, shorten t_final, or lower safety_span")
     assert err[1:] == ["error: 1 of 2 sweep points failed"]
 
 
-def test_out_falls_back_to_configured_directory(tmp_path):
-    target = tmp_path / "from_config"
-    text = BASE + f"\n[output]\ndirectory = {target}\n"
-    assert main(["spread", "--config", _cfg(tmp_path, text)]) == 0
-    assert (target / "sigma_timeseries.txt").exists()
-
-
-def test_missing_out_directory_rejected(tmp_path, capsys):
-    assert main(["spread", "--config", _cfg(tmp_path, BASE)]) == 1
-    assert "output directory" in capsys.readouterr().err
+def test_missing_out_directory_rejected(tmp_path, capsys, monkeypatch):
+    # --out is the one output path: without it the command line is refused as usage
+    monkeypatch.chdir(tmp_path)
+    path = _cfg(tmp_path, BASE + SLITS + "\n[sweep]\ncommand = spread\ngrid.dx = 0.1\n")
+    for command in ("spread", "doubleslit", "trajectories", "convergence", "sweep"):
+        with pytest.raises(SystemExit) as refused:
+            main([command, "--config", path])
+        assert refused.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 def test_quiet_suppresses_progress(tmp_path, capsys):
@@ -614,14 +631,21 @@ def test_unknown_subcommand_exits(tmp_path):
 
 @pytest.mark.parametrize("command", ["spread", "doubleslit"])
 @pytest.mark.parametrize("section, line", [("grid", "points_per_sigma0 = 10"),
-                                           ("output", "normalize_total = yes")])
-def test_removed_key_is_refused_by_name(tmp_path, capsys, command, section, line):
-    # dx is written only as dx, and doubleslit always writes p_total
-    text = (BASE.replace("dx = 0.1", line) + SLITS if section == "grid"
-            else BASE + SLITS + f"\n[{section}]\n{line}\n")
+                                           ("grid", "nx_cap = 500"),
+                                           ("output", "normalize_total = yes"),
+                                           ("output", "directory = o")])
+def test_removed_key_is_refused_by_name(tmp_path, capsys, monkeypatch, command, section, line):
+    # dx is written only as dx, the node cap is fixed, doubleslit always writes p_total,
+    # and --out alone names the output directory (here the run's own, relative to the cwd)
+    monkeypatch.chdir(tmp_path)
+    key = line.partition(" =")[0]
+    if section == "output":
+        text = BASE + SLITS + f"\n[output]\n{line}\n"
+    else:  # BASE ends in [grid]
+        text = (BASE.replace("dx = 0.1", line) if key == "points_per_sigma0"
+                else BASE + f"{line}\n") + SLITS
     path, out = _cfg(tmp_path, text), tmp_path / "o"
     assert main([command, "--config", path, "--out", str(out)]) == 1
-    key = line.partition(" =")[0]
     assert capsys.readouterr().err == f"error: {path}: unknown key [{section}] {key}\n"
     assert not out.exists()
 
@@ -640,8 +664,7 @@ def test_sweep_non_numeric_value_reported(tmp_path, capsys):
 _FULL = {
     "physical": {"hbar": "1.0", "mass": "1.0"},
     "packet": {"sigma0": "1.0", "center": "0.0"},
-    "grid": {"dx": "0.1", "dt": "0.05", "t_final": "1.0", "safety_span": "10.0",
-             "nx_cap": "100000"},
+    "grid": {"dx": "0.1", "dt": "0.05", "t_final": "1.0", "safety_span": "10.0"},
     "slits": {"separation": "4.0", "dvx": "2.0"},
     "trajectories": {"v_y": "1.0"},
     "output": {"sigma_rel_tol": "0.1", "homothety_tol": "0.1", "fringe_cell_tol": "1.0"},
@@ -652,11 +675,11 @@ _RIVALS = {"dvx": ("v1", "v2"), "v1": ("dvx",), "v2": ("dvx",)}
 _VALID = {
     "hbar": "5e-1", "mass": "2", "sigma0": "1.5", "center": "-0.25", "dx": "0.125",
     "dt": "2.5e-2", "t_final": "0.50", "safety_span": "12",
-    "nx_cap": "5000", "separation": "3.", "v1": "0.5", "v2": "-.5", "dvx": "1.5e0",
+    "separation": "3.", "v1": "0.5", "v2": "-.5", "dvx": "1.5e0",
     "v_y": "2.0", "sigma_rel_tol": "1e-2", "homothety_tol": "0.02", "fringe_cell_tol": "0.5",
 }
 _NUMERIC_KEYS = [(section, key, kind) for section, keys in config.SCHEMA.items()
-                 for key, (kind, *_) in keys.items() if kind in ("float", "int")]
+                 for key, (kind, *_) in keys.items() if kind == "float"]
 
 
 def _ini(raw):
@@ -684,16 +707,15 @@ def test_one_value_sweep_builds_the_plain_config(tmp_path, section, key, kind):
     expected = load_config(_cfg(tmp_path, _ini(plain), "p.cfg"))
     assert build_config(raw_point, expected.origin) == expected
     [value] = values
-    assert type(value) is {"int": int, "float": float}[kind]
+    assert type(value) is float
     assert value == float(_VALID[key])
 
 
 #: Text outside the domain of each scalar key that declares one.
 _OUT_OF_DOMAIN = {"hbar": "0", "mass": "-1", "sigma0": "-1", "dx": "-0.1", "dt": "0",
-                  "t_final": "-1", "safety_span": "4", "separation": "0", "nx_cap": "2"}
-_REFUSED = [(section, key, text) for section, key, kind in _NUMERIC_KEYS
-            for text in (("8.0", "1e3", "abc", "1" + "0" * 400) if kind == "int"
-                         else ("nan", "inf", "-inf", "abc"))
+                  "t_final": "-1", "safety_span": "4", "separation": "0"}
+_REFUSED = [(section, key, text) for section, key, _ in _NUMERIC_KEYS
+            for text in ("nan", "inf", "-inf", "abc")
             + ((_OUT_OF_DOMAIN[key],) if key in _OUT_OF_DOMAIN else ())]
 
 
@@ -850,14 +872,14 @@ def test_far_center_that_nodes_resolve_still_runs(tmp_path):
                  "--quiet"]) == 0
 
 
-#: A grid whose dx lies below the float spacing at its edges, with a centre of 0 and an
-#: nx_cap that lets its 2e14 nodes through: only the float-spacing refusal stops it.
+#: A grid whose dx lies below the float spacing at its edges, with a centre of 0; under a
+#: node cap that lets its 2e14 nodes through, only the float-spacing refusal stops it.
 _FINER_THAN_FLOATS = (BASE.replace("sigma0 = 1.0\n", "sigma0 = 1.0\ncenter = 0\n")
-                      .replace("dx = 0.1", "dx = 1e-13") + f"nx_cap = {10**30}\n")
+                      .replace("dx = 0.1", "dx = 1e-13"))
 #: Every convergence level takes 0 passes (D is 5e-301), so the levels halve dx until
 #: the float-spacing refusal stops them.
 _FINER_THAN_FLOATS_BY_LEVEL = (BASE.replace("mass = 1.0", "mass = 1e300")
-                               .replace("t_final = 1.0", "t_final = 0.1") + f"nx_cap = {10**30}\n")
+                               .replace("t_final = 1.0", "t_final = 0.1"))
 
 
 #: How the float-spacing refusal opens and ends for a config's own dx, and for the dx of a
@@ -873,10 +895,12 @@ _LEVEL_DX = ("convergence level 36 with dx = 1.45519e-12 is refused: ",
     (["convergence", "--refinements", "1000000000"], _FINER_THAN_FLOATS_BY_LEVEL,
      "1.45519e-12", "-10", _LEVEL_DX),
 ], ids=["spread", "doubleslit", "convergence_level"])
-def test_dx_finer_than_the_floats_at_the_grid_edge_names_dx_alone(tmp_path, capsys, argv, text,
-                                                                  dx, edge, lead_remedy):
+def test_dx_finer_than_the_floats_at_the_grid_edge_names_dx_alone(tmp_path, capsys, monkeypatch,
+                                                                  argv, text, dx, edge,
+                                                                  lead_remedy):
     """Every grid meets the float-spacing refusal before any node array is built (for the
     double slit that array would take 1.87 PiB), and a centre of 0 is not blamed."""
+    monkeypatch.setattr(balldiff.core, "NX_CAP", 10**30)
     out = tmp_path / "o"
     lead, remedy = lead_remedy
     assert main([*argv, "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 1
@@ -890,7 +914,8 @@ def test_dx_finer_than_the_floats_at_the_grid_edge_names_dx_alone(tmp_path, caps
     ("doubleslit", "fringe_cell_tol = 1.0", "fringe_cell_tol = 0.01",
      "fringe offset 0.469 cells exceeds tolerance 0.01",
      ["fringes.txt", *(f"intensity_{i:03d}.txt" for i in range(5))]),
-    ("doubleslit", "separation = 6.0", "separation = 80", "no interference maxima detected",
+    # the beams overlap at t = 2 only over [10.9, 29.1], between the crests n = 0 and n = 1
+    ("doubleslit", "dvx = 2.0", "v1 = 10.1\nv2 = 9.9", "no interference maxima detected",
      ["fringes.txt", *(f"intensity_{i:03d}.txt" for i in range(5))]),
     ("trajectories", "homothety_tol = 0.01", "homothety_tol = 1e-9",
      "homothety deviation 3.679e-04 exceeds tolerance 1e-09",
@@ -923,10 +948,12 @@ def test_sweep_refuses_zero_workers(tmp_path, capsys):
      "[sweep] command must be one of ['doubleslit', 'spread', 'trajectories'], "
      "got 'convergence'"),
     ("sweep", "\n[sweep]\ncommand = spread\noutput.directory = a, b\n",
-     "[sweep] cannot sweep str key 'output.directory'"),
+     "[sweep] unknown target 'output.directory'"),
+    ("sweep", "\n[sweep]\ncommand = spread\noutput.snapshot_times = 0, 1\n",
+     "[sweep] cannot sweep floats key 'output.snapshot_times'"),
     ("sweep", "\n[sweep]\ncommand = spread\ngrid.dx = ,\n", "[sweep] grid.dx has no values"),
 ], ids=["unsorted_snapshot_times", "sweep_without_section", "unknown_sweep_command",
-        "swept_directory", "sweep_without_values"])
+        "swept_directory", "swept_list", "sweep_without_values"])
 def test_config_refusal_names_its_section(tmp_path, capsys, command, extra, reason):
     out = tmp_path / "o"
     assert main([command, "--config", _cfg(tmp_path, BASE + extra), "--out", str(out)]) == 1
@@ -995,21 +1022,18 @@ def _shipped_draw(rng, command):
                          else 2.0**j if key in ("hbar", "mass") else 1.0)
                 values = [v * scale * rng.uniform(0.97, 1.03) for v in values]
             kv[key] = ", ".join(repr(v) for v in values)
-    raw["grid"]["nx_cap"] = "4096"
     return raw
 
 
 def _wild_draw(rng, command):
-    """A shipped draw with about a third of the float and int keys drawn anew, in or out
-    of their domains."""
+    """A shipped draw with about a third of the float keys drawn anew, in or out of their
+    domains."""
     raw = _shipped_draw(rng, command)
     for section, key, kind in _NUMERIC_KEYS + [("trajectories", "quantiles", "floats"),
                                               ("output", "snapshot_times", "floats")]:
         if rng.random() > 0.3:
             continue
-        if key == "nx_cap":
-            value = rng.randint(-5, 4096)
-        elif key == "quantiles":
+        if key == "quantiles":
             value = sorted(rng.uniform(-0.3, 1.3) for _ in range(rng.randint(1, 5)))
         elif key == "snapshot_times":
             t_final = float(raw["grid"]["t_final"])
@@ -1057,6 +1081,7 @@ def test_any_schema_values_exit_cleanly(monkeypatch, command):
     exits 0, with each density of its last snapshot within 1e-6 of unit mass, or exits 1
     with one error line, which names a key drawn outside its domain when there is one."""
     # runs stay small: at most 4,096 nodes and 2^14 macro steps or stencil passes
+    monkeypatch.setattr(balldiff.core, "NX_CAP", 4096)
     monkeypatch.setattr(stepper, "MAX_PASSES", 2**14)
     monkeypatch.setattr(balldiff.core, "MAX_STEPS", 2**14)
     rng = random.Random(f"fuzz {command}")
@@ -1099,11 +1124,11 @@ def test_import_leaves_pool_argparse_and_traceback_unloaded():
 
 def test_sweep_failed_point_writes_its_reason(tmp_path):
     # point 000 parses, and its grid is refused only when the point runs
-    text = BASE + "\n[sweep]\ncommand = spread\ngrid.nx_cap = 5, 100000\n"
+    text = BASE + "\n[sweep]\ncommand = spread\ngrid.dx = 1e-9, 0.1\n"
     out = tmp_path / "out"
     assert main(["sweep", "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 1
     reason = (out / "point_000" / "error.txt").read_text()
-    assert reason.endswith("grid would need 225 nodes (cap 5); "
+    assert reason.endswith("grid would need 22360679777 nodes (cap 4194304); "
                            "coarsen dx, shorten t_final, or lower safety_span\n")
     assert not (out / "point_001" / "error.txt").exists()
     assert (out / "point_001" / "sigma_timeseries.txt").exists()
@@ -1223,7 +1248,7 @@ def test_convergence_table_matches_per_level_reference(tmp_path):
     for level in levels:
         dx = cfg.dx / 2**level
         grid = grid_spanning(cfg.state.center, cfg.safety_span * sigma_end, dx, dt=cfg.dt,
-                             t_final=cfg.t_final, nx_cap=cfg.nx_cap)
+                             t_final=cfg.t_final)
         snaps, report = evolve(sample_gaussian_field(cfg.state, grid), grid, cfg.state,
                                cfg.params, [cfg.t_final])
         exact = gaussian_pdf(grid.x, cfg.state.center, sigma_end)
@@ -1238,7 +1263,7 @@ def test_convergence_table_matches_per_level_reference(tmp_path):
 def test_fringe_spacing_of_huge_hbar_and_mass_runs(tmp_path, capsys):
     # 2 pi hbar alone overflows; the spacing 2 pi (hbar / (mass |dvx|)) does not
     text = (BASE.replace("hbar = 1.0", "hbar = 1e308").replace("mass = 1.0", "mass = 1e307")
-            .replace("t_final = 1.0", "t_final = 0\nnx_cap = 100001")
+            .replace("t_final = 1.0", "t_final = 0")
             + "\n[slits]\nseparation = 6\ndvx = 1\n")
     out = tmp_path / "o"
     assert main(["doubleslit", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 0
@@ -1260,43 +1285,37 @@ def test_output_path_that_is_a_file_reported(tmp_path, capsys, command, target):
     assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
-def test_configured_directory_that_is_a_file_reported(tmp_path, capsys):
-    (tmp_path / "file").write_text("")
-    text = BASE + f"\n[output]\ndirectory = {tmp_path / 'file'}\n"
-    assert main(["spread", "--config", _cfg(tmp_path, text), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write output: ")
-    assert "File exists" in err and "Traceback" not in err
-
-
 def test_out_of_memory_reported(tmp_path, capsys, monkeypatch):
     def sample(*_):  # stands in for the allocation of the grid's 2e11 nodes
         raise MemoryError("Unable to allocate 1.46 TiB for an array with shape "
                           "(200000000001,) and data type int64")
 
     monkeypatch.setattr(cli, "sample_gaussian_field", sample)
+    monkeypatch.setattr(balldiff.core, "NX_CAP", 10**12)
     text = (BASE.replace("dx = 0.1", "dx = 1e-10").replace("t_final = 1.0", "t_final = 0")
-            + "nx_cap = 1000000000000\n[output]\nsnapshot_times = 0\n")
+            + "[output]\nsnapshot_times = 0\n")
     out = tmp_path / "o"
     assert main(["spread", "--config", _cfg(tmp_path, text), "--out", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err == (
         "error: out of memory: Unable to allocate 1.46 TiB for an array with shape "
-        "(200000000001,) and data type int64; lower [grid] nx_cap or coarsen dx\n")
+        "(200000000001,) and data type int64; coarsen dx\n")
     assert not out.exists()
 
 
-_NX_CAP_5 = BASE + "nx_cap = 5\n"
-# a span of 5 keeps every grid here under the default nx_cap (convergence's level 0:
+# a span of 5 keeps every grid here under the node cap (convergence's level 0:
 # 5.0e5 nodes), so the pass cap is what refuses each run
 _PASS_CAP = (BASE.replace("dx = 0.1", "dx = 0.001").replace("dt = 0.05", "dt = 0.1")
              .replace("t_final = 1.0", "t_final = 100\nsafety_span = 5.0"))
 
 
 @pytest.mark.parametrize("command", ["spread", "trajectories", "convergence", "doubleslit"])
-@pytest.mark.parametrize("text, reason", [(_NX_CAP_5, "nodes (cap 5)"),
-                                          (_PASS_CAP, "stencil passes (cap ")],
+@pytest.mark.parametrize("text, nx_cap, reason", [(BASE, 5, "nodes (cap 5)"),
+                                                  (_PASS_CAP, None, "stencil passes (cap ")],
                          ids=["nx_cap", "pass_cap"])
-def test_refused_run_leaves_no_output_directory(tmp_path, capsys, command, text, reason):
+def test_refused_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, command, text,
+                                                nx_cap, reason):
+    if nx_cap is not None:
+        monkeypatch.setattr(balldiff.core, "NX_CAP", nx_cap)
     if command == "doubleslit":
         text += SLITS
     out = tmp_path / "o"

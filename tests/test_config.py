@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import balldiff.core
 from balldiff import ConfigError, ResourceLimitError, analytic_sigma
 from balldiff.config import (
     SCHEMA,
@@ -128,7 +129,6 @@ def test_safety_span_floor(tmp_path):
 
 @pytest.mark.parametrize("section, line, message", [
     ("physical", "hbar = -1", "[physical] hbar must be > 0, got -1.0"),
-    ("grid", "nx_cap = 2", "[grid] nx_cap must be >= 3, got 2"),
     ("packet", "sigma0 = 1e-200",
      "[packet] sigma0 must lie in [1.49e-154, 1.34e+154], got 1e-200"),
     ("trajectories", "quantiles = 0.5, 1.5",
@@ -225,16 +225,18 @@ def test_single_beam_grid_center_is_a_node():
     assert g.x[(g.nx - 1) // 2] == pytest.approx(3.2, abs=1e-12)
 
 
-def test_single_beam_grid_resource_cap():
+def test_single_beam_grid_resource_cap(monkeypatch):
     long_run = _built(physical={"hbar": 2.0},
                       grid={"dx": 1.0 / 10, "dt": 0.1, "t_final": 1e6})
     with pytest.raises(ResourceLimitError):
         single_beam_grid(long_run)
     # 10 sigma0 each side at 10 points per sigma0 needs 201 nodes
-    capped = {"dx": 1.0 / 10, "dt": 0.1, "t_final": 0.0}
-    assert single_beam_grid(_built(grid={**capped, "nx_cap": 201})).nx == 201
+    capped = _built(grid={"dx": 1.0 / 10, "dt": 0.1, "t_final": 0.0})
+    monkeypatch.setattr(balldiff.core, "NX_CAP", 201)
+    assert single_beam_grid(capped).nx == 201
+    monkeypatch.setattr(balldiff.core, "NX_CAP", 200)
     with pytest.raises(ResourceLimitError, match="cap 200"):
-        single_beam_grid(_built(grid={**capped, "nx_cap": 200}))
+        single_beam_grid(capped)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,7 +244,7 @@ def test_single_beam_grid_resource_cap():
 def test_single_beam_grid_postconditions_hold(sigma0, t_final):
     cfg = _built(packet={"sigma0": sigma0},
                  grid={"dx": sigma0 / 10, "safety_span": 10.0, "dt": 0.1,
-                       "t_final": t_final, "nx_cap": 2**24})
+                       "t_final": t_final})
     g = single_beam_grid(cfg)
     assert g.dx == sigma0 / 10
     assert g.nx % 2 == 1

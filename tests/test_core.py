@@ -15,6 +15,7 @@ from balldiff import (
     make_physical_params,
     trace_flux_lines,
 )
+import balldiff.core
 from balldiff.core import MAX_STEPS
 
 
@@ -116,15 +117,17 @@ def test_grid_spanning_step_count_immune_to_float_noise():
     assert g.n_steps == 10
 
 
-def test_grid_spanning_cap():
-    with pytest.raises(ResourceLimitError):
-        grid_spanning(0.0, 1e6, 0.01, dt=0.1, t_final=1.0, nx_cap=100000)
+def test_grid_spanning_cap(monkeypatch):
+    assert grid_spanning(0.0, 1.0, 0.1, dt=0.1, t_final=1.0).nx == 21
+    monkeypatch.setattr(balldiff.core, "NX_CAP", 20)  # read at each call
+    with pytest.raises(ResourceLimitError, match=r"grid would need 21 nodes \(cap 20\)"):
+        grid_spanning(0.0, 1.0, 0.1, dt=0.1, t_final=1.0)
 
 
 def test_grid_spanning_counts_nodes_past_the_float_range_as_inf():
     # 2 * 1e308 + 1 nodes is an int no float can hold
-    with pytest.raises(ResourceLimitError, match=r"grid would need inf nodes \(cap 100\)"):
-        grid_spanning(0.0, 1e308, 1.0, dt=0.1, t_final=1.0, nx_cap=100)
+    with pytest.raises(ResourceLimitError, match=r"grid would need inf nodes \(cap 4194304\)"):
+        grid_spanning(0.0, 1e308, 1.0, dt=0.1, t_final=1.0)
 
 
 def test_grid_spanning_refuses_a_dx_whose_square_overflows():

@@ -331,6 +331,13 @@ def _near_ties():
     return out
 
 
+#: The doubles at inexact table entries of 10^q (q < 0 or q > 55) whose exact fraction lies
+#: within 8 units of 2^-64 of one half, the five nearest of all; the first computes F = 2^63
+#: exactly, so only the tie fallback formats it right.
+_HARDEST = [1.3076622631878654e+65, 1.3588129002659584e-245, 6.538311315939327e+64,
+            6.794064501329792e-246, 1.234550136632744e-99]
+
+
 def _edge_values():
     nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0x7FF4000000000000,
                      0x7FFFFFFFFFFFFFFF, 0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64)
@@ -345,14 +352,16 @@ def _edge_values():
     n = np.arange(1e15 - 2048, 1e15 + 2048)
     ints = ([float(2**53 + i) for i in range(-64, 65)]
             + [float(10**17 + i) for i in range(-2048, 2049, 7)])
-    values = np.concatenate([nans, [math.inf], marks, n + 0.25, n + 0.75, ints, _near_ties()])
+    values = np.concatenate([nans, [math.inf], marks, n + 0.25, n + 0.75, ints, _near_ties(),
+                             _HARDEST])
     return np.concatenate([values, -values])
 
 
 def test_format_rows_matches_percent_on_edge_values(compiled_stencil):
     """Signed zeros, infinities, NaNs of both signs and several payloads, subnormals, the
     limits, every power of 2 and of 10, integers around 2^53 and 1e17, exact ties at the
-    17th digit, near ties, and the switches to exponent form, each with its neighbours."""
+    17th digit, near ties, the hardest near ties at inexact entries, and the switches to
+    exponent form, each with its neighbours."""
     _assert_formats_like_percent(compiled_stencil.format_rows, _edge_values().reshape(-1, 1))
 
 
