@@ -68,20 +68,19 @@ static PyObject *apply_passes(PyObject *Py_UNUSED(self), PyObject *args)
  *
  * A finite normal v = m * 2^e2 (m a 53-bit integer) is scaled by 10^q, q = 16 - k and
  * k = floor(log10 |v|), to a 17-digit integer D and the top 64 bits F of its fraction: m
- * times the 128-bit mantissa of 10^q is exact in 192 bits. The table of 10^q is built
- * from 10^0 by repeated *10 and /10, each step rounded to nearest, so an entry errs by
- * at most 2^-128 relative per inexact step: none for 0 <= q <= 55 (5^q < 2^128), at most
- * 292 steps, under 2^-119.8 in all (2^-122.7 measured with exact integers). D < 2^57.5,
- * so F errs by under 2^-62.3 from the table and under 2^-64 from its truncation: under
- * 2^3 units of 2^-64. An F within MARGIN = 2^8 units of one half is a tie, or too near
- * one to tell, so that cell goes to PyOS_double_to_string, the function '%' itself
- * calls; so do zero, subnormals, inf and NaN. Any other F rounds D as the exact value. */
+ * times the 128-bit mantissa of 10^q is exact in 192 bits. The table of 10^q is built from
+ * 10^0 by repeated *10 and /10, each step rounded to nearest. It is exact for 0 <= q <= 55,
+ * where F truncates the exact fraction, so every tie computes F = 2^63. Elsewhere an entry
+ * errs by under 2^-119.8 relative (at most 292 steps of 2^-128) and D < 10^17, so F errs by
+ * under 2^3 units of 2^-64; a search of every (e2, q) pair finds no exact tie there and five
+ * doubles within 2^3 units of one half, each computing F on its side of 2^63 but the nearest,
+ * 1.3076622631878654e+65, which computes F = 2^63 (tests/test_tables.py). So only F = 2^63 goes
+ * to PyOS_double_to_string, the function '%' calls; so do zero, subnormals, inf and NaN. */
 #define CELL_MAX 24 /* "-4.9406564584124654e-324": sign, 17 digits, '.', 5 exponent chars */
 #ifdef __SIZEOF_INT128__
 __extension__ typedef unsigned __int128 u128;
 #define Q_MIN (-292) /* q over every normal double and both guesses of k */
 #define Q_MAX 324
-#define MARGIN ((uint64_t)1 << 8)
 #define E17 100000000000000000ULL
 static struct { u128 m; int e; } tens[Q_MAX - Q_MIN + 1]; /* 10^q ~ m * 2^e, m >= 2^127 */
 
@@ -123,7 +122,7 @@ static char *format_fast(double v, char *p)
         if (d < E17)
             break;
     }
-    if (f - (((uint64_t)1 << 63) - MARGIN) <= 2 * MARGIN)
+    if (f == (uint64_t)1 << 63)
         return NULL;
     if ((d += f >> 63) == E17)
         d /= 10, k++;

@@ -113,9 +113,12 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
     spacing = fringe_spacing(cfg.params, cfg.slits.dvx)
     half = max(-grid.x_min, grid.x_max)
     p1, p2 = imap.p1[-1], imap.p2[-1]
-    overlap = 2.0 * np.sqrt(p1 * p2).max() > ENVELOPE_FLOOR * max(p1.max(), p2.max())
-    # a crest besides n = 0 lies on the grid (inf never does), where both beams reach
-    has_fringes = spacing <= half and overlap
+    envelope = 2.0 * np.sqrt(p1 * p2)
+    kept = imap.x_axis[envelope > ENVELOPE_FLOOR * envelope.max()]  # detect_fringe_maxima's
+    # a crest besides n = 0 lies on the grid (inf never does), and a crest n * spacing, n = 0
+    # included, among the cells the fringe search keeps
+    has_fringes = (spacing <= half and kept.size > 0
+                   and math.ceil(kept[0] / spacing) <= math.floor(kept[-1] / spacing))
     if has_fringes:
         x_det = detect_fringe_maxima(imap.x_axis, p1, p2, imap.p_total[-1])
         orders = np.rint(x_det / spacing)
@@ -126,7 +129,8 @@ def run_doubleslit(cfg: RunConfig, out_dir: Path, *, quiet: bool = False) -> int
     else:
         orders = x_det = x_ref = err_cells = np.empty(0)
         why = (f"spacing {spacing:.6g} > half-width {half:.6g}" if spacing > half
-               else "beams do not overlap")
+               else "beams do not overlap" if not kept.size
+               else f"no crest where the beams overlap, [{kept[0]:.6g}, {kept[-1]:.6g}]")
         _say(quiet, f"doubleslit: no fringes ({why}){_BACKEND}")
     write_table(
         out_dir / "fringes.txt",

@@ -19,8 +19,7 @@ from .errors import DomainTooSmallError, ValidationError
 from .stepper import evolve  # noqa: F401  (unused: kept bound for perfbench/spans.py)
 from .stepper import march, plan, sample_gaussian_field
 
-#: Fringe search ignores cells whose beam envelope is below this fraction of its peak,
-#: and beams whose envelope peaks below this fraction of the larger beam make no fringes.
+#: Fringe search ignores cells whose beam envelope is below this fraction of its peak.
 ENVELOPE_FLOOR = 1e-9
 
 #: Rounding bound of the cross term p_total - p1 - p2, in units of p1 + p2 + p_total.

@@ -210,6 +210,33 @@ def test_beams_that_never_overlap_make_no_fringes(tmp_path, capsys, text):
     assert fr.shape[0] == 0
 
 
+@pytest.mark.parametrize("v1, v2, lo, hi", [
+    ("10.1", "9.9", "10.9375", "29.0625"), ("-9.9", "-10.1", "-29.0625", "-10.9375"),
+], ids=["right", "left"])
+def test_beams_that_overlap_only_between_crests_make_no_fringes(tmp_path, capsys, v1, v2, lo, hi):
+    # at t = 2 the envelope exceeds 1e-9 of its peak only on [lo, hi], between the crests
+    # n = 0 and n = +-1 at x = +-31.4: no fringe to check, so fringe_cell_tol is not checked
+    text = (CONFIGS / "doubleslit.cfg").read_text().replace("dvx = 2.0", f"v1 = {v1}\nv2 = {v2}")
+    out = tmp_path / "o"
+    assert main(["doubleslit", "--config", _cfg(tmp_path, text), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"doubleslit: no fringes (no crest where the beams overlap, [{lo}, {hi}]) "
+        f"[{balldiff.kernel_backend()} kernel]\n")
+    _, fr = read_table(out / "fringes.txt")
+    assert fr.shape[0] == 0
+
+
+@pytest.mark.parametrize("v1, v2, n", [("15.1", "14.9", 1), ("-14.9", "-15.1", -1)])
+def test_one_crest_where_the_beams_overlap_is_a_fringe(tmp_path, v1, v2, n):
+    # the overlap at t = 2 holds the crest n, and no other but n = 0
+    text = (CONFIGS / "doubleslit.cfg").read_text().replace("dvx = 2.0", f"v1 = {v1}\nv2 = {v2}")
+    out = tmp_path / "o"
+    assert main(["doubleslit", "--config", _cfg(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == 0
+    _, fr = read_table(out / "fringes.txt")
+    assert fr[:, 0].tolist() == [n]
+
+
 #: A phase too flat to resolve over the grid: x = 0 is the only crest it holds, n = 0.
 _FLAT_PHASE = BASE + "\n[slits]\nseparation = 6\n\n[output]\nfringe_cell_tol = 1\n"
 
@@ -910,19 +937,21 @@ def test_dx_finer_than_the_floats_at_the_grid_edge_names_dx_alone(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, old, new, message, tables", [
-    ("doubleslit", "fringe_cell_tol = 1.0", "fringe_cell_tol = 0.01",
+@pytest.mark.parametrize("command, old, new, search, message, tables", [
+    ("doubleslit", "fringe_cell_tol = 1.0", "fringe_cell_tol = 0.01", None,
      "fringe offset 0.469 cells exceeds tolerance 0.01",
      ["fringes.txt", *(f"intensity_{i:03d}.txt" for i in range(5))]),
-    # the beams overlap at t = 2 only over [10.9, 29.1], between the crests n = 0 and n = 1
-    ("doubleslit", "dvx = 2.0", "v1 = 10.1\nv2 = 9.9", "no interference maxima detected",
+    # the shipped grid holds crests where the beams overlap, but the fringe search finds none
+    ("doubleslit", "", "", lambda *_: np.empty(0), "no interference maxima detected",
      ["fringes.txt", *(f"intensity_{i:03d}.txt" for i in range(5))]),
-    ("trajectories", "homothety_tol = 0.01", "homothety_tol = 1e-9",
+    ("trajectories", "homothety_tol = 0.01", "homothety_tol = 1e-9", None,
      "homothety deviation 3.679e-04 exceeds tolerance 1e-09",
      ["homothety.txt", "trajectories.txt"]),
 ], ids=["fringe_offset", "no_maxima", "homothety"])
-def test_failed_check_exits_1_and_still_writes_its_tables(tmp_path, capsys, command, old, new,
-                                                         message, tables):
+def test_failed_check_exits_1_and_still_writes_its_tables(tmp_path, capsys, monkeypatch, command,
+                                                         old, new, search, message, tables):
+    if search is not None:
+        monkeypatch.setattr(balldiff.cli, "detect_fringe_maxima", search)
     text = (CONFIGS / f"{command}.cfg").read_text()
     assert old in text
     out = tmp_path / "o"

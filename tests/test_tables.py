@@ -5,6 +5,7 @@ a C compiler is found, the compiled formatter, and checks they write the same by
 """
 import math
 import os
+import random
 import re
 import sys
 import tracemalloc
@@ -305,37 +306,162 @@ def test_format_rows_matches_percent_on_random_bit_patterns(compiled_stencil):
     _assert_formats_like_percent(compiled_stencil.format_rows, block)
 
 
-def _near_ties():
-    """Doubles whose 17-digit scaled value D = |v| * 10^(16 - k) lies near an integer + 1/2.
+def _min_mod(n, mod, a, b):
+    """(min, argmin) of (a * x + b) % mod over 0 <= x < n, for n >= 1.
 
-    Built from modular inverses: for v >= 1e39, where the table of 10^q is inexact,
-    D = m * 2^(e2 - p) / 5^p, and for 1e-15 <= v < 1e-7, D = m * 5^q / 2^s.
+    Where a <= mod / 2 the values climb by a and wrap, so the minimum starts a run: x = 0,
+    or the first x after wrap y, whose value (b - y * mod) % a is again linear, now modulo a.
+    Otherwise they fall by c = mod - a, so it ends one: x = n - 1, or the last x before
+    wrap y + 1, of value (b + y * mod) % c. Each step halves the modulus at least and takes
+    about n * a / mod (or n * c / mod) terms, a Euclid-like recursion of O(log n) steps.
     """
-    out = []
-    for p in range(23, 28):
-        five = 5**p
-        for e2 in range(p, p + 80):
-            inv = pow(2 ** (e2 - p), -1, five)
-            for j in range(-8, 8):
-                m = ((five + 1) // 2 + j) * inv % five
-                if 2**52 <= m < 2**53 and 10 ** (p + 16) <= m << e2 < 10 ** (p + 17):
-                    out.append(math.ldexp(m, e2))
-    for q in range(24, 32):
-        five = 5**q
-        for s in range(56, 67):
-            inv = pow(five, -1, 2**s)
-            for j in range(-(2 ** (s - 56)), 2 ** (s - 56) + 1):
-                m = (2 ** (s - 1) + j) * inv % 2**s
-                if 2**52 <= m < 2**53 and 10**16 <= m * five >> s < 10**17:
-                    out.append(math.ldexp(m, -q - s))
-    return out
+    a, b = a % mod, b % mod
+    if a == 0 or n == 1:
+        return b, 0
+    if 2 * a <= mod:
+        wraps = (a * (n - 1) + b) // mod
+        if not wraps:
+            return b, 0
+        value, y = _min_mod(wraps, a, -mod, b - mod)  # wrap y + 1
+        return min((b, 0), (value, ((y + 1) * mod - b + a - 1) // a))
+    c, last = mod - a, ((a * (n - 1) + b) % mod, n - 1)
+    if b >= n * c:
+        return last
+    value, y = _min_mod((n * c - b - 1) // mod + 1, c, mod, b)
+    return min(last, (value, (b + y * mod) // c))
+
+
+def test_min_mod_matches_brute_force():
+    rng = random.Random(20261022)
+    for _ in range(2000):
+        mod, n = rng.randint(1, 300), rng.randint(1, 200)
+        a, b = rng.randrange(-mod, 2 * mod), rng.randrange(-mod, 2 * mod)
+        assert _min_mod(n, mod, a, b) == min(((a * x + b) % mod, x) for x in range(n))
+
+
+_Q_MIN, _Q_MAX, _LOG10_2 = -292, 324, 0.30102999566398119521
+
+
+def _tens():
+    """_stencil.c's table: 10^q ~ m * 2^e, m a 128-bit integer, built as build_tens does."""
+    tens, mask = {}, (1 << 128) - 1
+    m, e = 1 << 127, -127
+    for q in range(_Q_MAX + 1):  # m * 10, its top 128 bits rounded half up
+        tens[q] = m, e
+        p = m * 10
+        r = 4 if p >> 131 else 3
+        m, e = ((p >> r) + (p >> (r - 1) & 1)) & mask, e + r
+    m, e = 1 << 127, -127
+    for q in range(-1, _Q_MIN - 1, -1):  # m / 10 as m * 2^r / 5, rounded to nearest, / 2^(r + 1)
+        d = m // 5
+        r = 2 if d >> 125 else 3
+        t = (m % 5) << r
+        m, e = ((d << r) + t // 5 + (t % 5 >= 3)) & mask, e - r - 1
+        tens[q] = m, e
+    return tens
+
+
+def _model_format_fast(v, tens):
+    """format_fast's integer steps on |v|: the 17-digit D, the top 64 bits F of its fraction,
+    and the q of the table entry used."""
+    m, e2 = math.frexp(abs(v))
+    m, e2 = int(m * 2**53), e2 - 53
+    k = math.floor((e2 + 52) * _LOG10_2)
+    while True:
+        t, e = tens[16 - k]
+        s = -(e2 + e) - 64
+        d, f = m * t >> (s + 64), (m * t >> s) & ((1 << 64) - 1)
+        if d < 10**17:
+            return d, f, 16 - k
+        k += 1
+
+
+def _search():
+    """Every normal double near a rounding tie at the 17th digit, found exactly.
+
+    For each binary exponent e2 and each q = 16 - k that format_fast can use (both guesses
+    of k), the doubles m * 2^e2 whose x = m * 2^e2 * 10^q lies in [10^16, 10^17) take that
+    table entry. Written x = m * A / B in lowest terms, x's fraction lies r / 2B above one
+    half with r = (2A * m - B) % 2B, and r / 2B below it with r = (B - 2A * m) % 2B: two
+    linear functions modulo 2B over an interval of m, whose minima _min_mod finds. Returns
+    the (e2, q) pairs that hold doubles, the nearest double on each side of one half in each pair,
+    and every (double, q, fraction - 1/2 in units of 2^-64) at inexact table entries within
+    the 2^3 units that bound F's error there, nearest first.
+    """
+    pairs, nearest, near = [], [], []
+    for e2 in range(-1074, 972):
+        k = math.floor((e2 + 52) * _LOG10_2)
+        covered = 0
+        for q in (16 - k, 15 - k):
+            a, b = 2 ** max(e2 + q, 0) * 5 ** max(q, 0), 2 ** max(-e2 - q, 0) * 5 ** max(-q, 0)
+            lo, hi = max(2**52, -(-(10**16) * b // a)), min(2**53 - 1, (10**17 * b - 1) // a)
+            if lo > hi:
+                continue
+            pairs.append((e2, q))
+            covered += hi - lo + 1
+            for sign in (1, -1):
+                step, offset = sign * 2 * a, -sign * b
+                x = _min_mod(hi - lo + 1, 2 * b, step, step * lo + offset)[1]
+                nearest.append(math.ldexp(lo + x, e2))
+                spans = [] if 0 <= q <= 55 else [(lo, hi)]
+                while spans:  # split around each find until none lies within 2^3 units
+                    first, last = spans.pop()
+                    if first <= last:
+                        r, x = _min_mod(last - first + 1, 2 * b, step, step * first + offset)
+                        if r << 64 < 8 * 2 * b:
+                            near.append((math.ldexp(first + x, e2), q, sign * r * 2**63 / b))
+                            spans += [(first, first + x - 1), (first + x + 1, last)]
+        assert covered == 2**52  # the pairs of e2 hold each of its doubles once
+    return pairs, nearest, sorted(near, key=lambda n: abs(n[2]))
 
 
 #: The doubles at inexact table entries of 10^q (q < 0 or q > 55) whose exact fraction lies
-#: within 8 units of 2^-64 of one half, the five nearest of all; the first computes F = 2^63
-#: exactly, so only the tie fallback formats it right.
-_HARDEST = [1.3076622631878654e+65, 1.3588129002659584e-245, 6.538311315939327e+64,
-            6.794064501329792e-246, 1.234550136632744e-99]
+#: within 2^3 units of 2^-64 of one half, nearest first: each with its q, that distance in
+#: units, and the F - 2^63 that format_fast computes. Only the first needs the fallback.
+_HARDEST = [(1.3076622631878654e+65, -49, 0.687, 0), (1.3588129002659584e-245, 261, 1.453, 1),
+            (6.538311315939327e+64, -48, 3.436, 3), (6.794064501329792e-246, 262, 7.267, 7),
+            (1.234550136632744e-99, 115, -7.517, -8)]
+
+
+@pytest.fixture(scope="module")
+def searched():
+    return _search()
+
+
+def test_near_tie_search_proves_the_single_fallback(searched):
+    """format_fast needs its fallback only where F = 2^63. At exact table entries F truncates
+    the exact fraction. At inexact ones F errs by under 2 units of 2^-64, no double is an
+    exact tie, and each double within 2^3 units of one half computes F on its own side of
+    2^63, or exactly 2^63."""
+    pairs, _, near = searched
+    assert len(pairs) == 2661
+    assert (min(q for _, q in pairs), max(q for _, q in pairs)) == (_Q_MIN, _Q_MAX)
+    tens = _tens()
+    inexact = []
+    for q, (m, e) in tens.items():  # m * 2^e against 10^q, both sides scaled to integers
+        approx, ten = (m << max(e, 0)) * 10 ** max(-q, 0), 10 ** max(q, 0) << max(-e, 0)
+        if approx != ten:
+            inexact.append(q)
+            # F then errs by under 2^64 * 10^17 * relative error + 1 < 2 units
+            assert abs(approx - ten) * 10**17 * 2**64 < ten
+    assert sorted(inexact) == [*range(_Q_MIN, 0), *range(56, _Q_MAX + 1)]
+    assert all(units for _, _, units in near)  # no exact tie
+    found = [(v, q, round(units, 3), _model_format_fast(v, tens)[1] - 2**63)
+             for v, q, units in near]
+    assert found == _HARDEST
+    for v, q, units, f in found:
+        assert _model_format_fast(v, tens)[2] == q  # the entry format_fast uses
+        assert f == 0 or (f > 0) == (units > 0)
+
+
+def test_format_rows_matches_percent_on_searched_near_ties(compiled_stencil, searched):
+    """The nearest double on each side of one half in every (e2, q) pair, exact ties at the
+    exact entries among them, and every double within 2^3 units of one half at the inexact
+    ones, with their negatives."""
+    _, nearest, near = searched
+    values = np.array(nearest + [v for v, _, _ in near])
+    _assert_formats_like_percent(compiled_stencil.format_rows,
+                                 np.concatenate([values, -values]).reshape(-1, 1))
 
 
 def _edge_values():
@@ -352,16 +478,14 @@ def _edge_values():
     n = np.arange(1e15 - 2048, 1e15 + 2048)
     ints = ([float(2**53 + i) for i in range(-64, 65)]
             + [float(10**17 + i) for i in range(-2048, 2049, 7)])
-    values = np.concatenate([nans, [math.inf], marks, n + 0.25, n + 0.75, ints, _near_ties(),
-                             _HARDEST])
+    values = np.concatenate([nans, [math.inf], marks, n + 0.25, n + 0.75, ints])
     return np.concatenate([values, -values])
 
 
 def test_format_rows_matches_percent_on_edge_values(compiled_stencil):
     """Signed zeros, infinities, NaNs of both signs and several payloads, subnormals, the
     limits, every power of 2 and of 10, integers around 2^53 and 1e17, exact ties at the
-    17th digit, near ties, the hardest near ties at inexact entries, and the switches to
-    exponent form, each with its neighbours."""
+    17th digit and the switches to exponent form, each with its neighbours."""
     _assert_formats_like_percent(compiled_stencil.format_rows, _edge_values().reshape(-1, 1))
 
 
